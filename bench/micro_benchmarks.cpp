@@ -46,7 +46,6 @@
 #include "pipeline.hpp"
 #include "proptest/proptest.hpp"
 #include "serve/simulator.hpp"
-#include "zoo.hpp"
 #include "util/args.hpp"
 #include "ref/ref_kernels.hpp"
 #include "ref/ref_oracles.hpp"
@@ -523,19 +522,22 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
 
   // Whole-model graph pipeline: the resnet18 model-zoo topology
   // through workload export -> mix selection -> scheduler -> cycle
-  // model (the same path `drift_graph run --zoo=resnet18` takes).  The
-  // cycle total is a deterministic function of topology + seed, so
-  // ops_per_s — defined as 1e12/cycles — is bit-stable across machines
-  // and thread counts, and the ratchet's max-slowdown gate bounds
-  // end-to-end model latency regressions like any kernel.
-  {
+  // model (the same path `drift_graph run examples/model_zoo/
+  // resnet18.json` takes).  The cycle total is a deterministic function
+  // of topology + seed, so ops_per_s — defined as 1e12/cycles — is
+  // bit-stable across machines and thread counts, and the ratchet's
+  // max-slowdown gate bounds end-to-end model latency regressions like
+  // any kernel.
+  const auto resnet18 = graphcli::load_topology_file(
+      std::string(DRIFT_MODEL_ZOO_DIR) + "/resnet18.json");
+  if (!resnet18.ok()) {
+    std::fprintf(stderr, "[kernels] resnet18 topology: %s\n",
+                 resnet18.errors.front().c_str());
+  } else {
     graphcli::GraphPipelineConfig gcfg;
     graphcli::GraphPipelineResult gres;
     const double wall = best_seconds(
-        [&] {
-          gres = graphcli::run_graph_pipeline(
-              graphcli::make_zoo_graph("resnet18"), gcfg);
-        },
+        [&] { gres = graphcli::run_graph_pipeline(resnet18.graph, gcfg); },
         1);
     KernelResult r;
     r.name = "graph_resnet18_cycles";

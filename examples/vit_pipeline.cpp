@@ -120,6 +120,6 @@ int main(int argc, char** argv) {
               static_cast<double>(executor.peak_resident_bytes()) / 1024.0,
               static_cast<long long>(executor.tensors_freed()));
   std::printf("full-size topologies: tools/graph/drift_graph run "
-              "--zoo=vit_b16 (see examples/model_zoo/).\n");
+              "examples/model_zoo/vit_b16.json\n");
   return artifacts.write() ? 0 : 1;
 }

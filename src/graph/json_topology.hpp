@@ -15,13 +15,14 @@
 // Attribute values are typed by their JSON form: integers stay
 // integers, numbers with a fraction/exponent become doubles, strings
 // stay strings.  The parser is string-in / string-out (no file I/O in
-// src/): tools and tests read the file and pass the text.
+// src/): tools and tests read the file and pass the text.  Syntax is
+// checked by the shared reader (util/json.hpp), so a malformed file
+// yields its single "line L, col C: ..." error.
 //
 // to_topology_json() is the inverse and is canonical — sorted attr
 // keys (AttrMap is a std::map), fixed 2-space indentation, shortest
-// round-trip doubles — so emit(parse(text)) is a fixed point and the
-// committed model-zoo files can be pinned byte-exact against the
-// programmatic zoo builders.
+// round-trip doubles — so emit(parse(text)) is a fixed point; each
+// committed model-zoo file is already in this form.
 #pragma once
 
 #include <string>
@@ -31,8 +32,8 @@
 
 namespace drift::graph {
 
-/// Parse outcome: a graph plus "..." error messages (position-stamped
-/// for syntax errors, node-named for schema errors).
+/// Parse outcome: a graph plus "..." error messages (one located
+/// message for a syntax error, node-named ones for schema errors).
 struct TopologyParseResult {
   Graph graph;
   std::vector<std::string> errors;

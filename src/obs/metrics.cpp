@@ -1,13 +1,13 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -223,28 +223,6 @@ namespace {
 // skips layer attribution (the submitting thread records totals).
 thread_local LayerRecord* tl_current_layer = nullptr;
 
-/// Shortest round-trip decimal rendering (std::to_chars) — the same
-/// bytes on every conforming implementation, unlike printf("%g").
-std::string format_double(double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
 bool matches_prefixes(const std::string& name,
                       const std::vector<std::string>& prefixes) {
   if (prefixes.empty()) return true;
@@ -256,19 +234,19 @@ bool matches_prefixes(const std::string& name,
 
 void append_layer_json(std::string& out, const LayerRecord& r) {
   out += "    {";
-  append_json_string(out, "layer");
+  util::append_json_string(out, "layer");
   out += ": ";
-  append_json_string(out, r.layer);
+  util::append_json_string(out, r.layer);
   const auto field = [&out](const char* key, std::int64_t v) {
     out += ", ";
-    append_json_string(out, key);
+    util::append_json_string(out, key);
     out += ": " + std::to_string(v);
   };
   field("subtensors_total", r.subtensors_total);
   field("subtensors_low", r.subtensors_low);
   field("elements_total", r.elements_total);
   field("elements_low", r.elements_low);
-  out += ", \"coverage\": " + format_double(r.coverage());
+  out += ", \"coverage\": " + util::format_double(r.coverage());
   field("sched_r", r.sched_r);
   field("sched_c", r.sched_c);
   out += ", \"sched_latency\": [";
@@ -355,9 +333,9 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
     if (!matches_prefixes("meta." + key, prefixes)) continue;
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_json_string(out, key);
+    util::append_json_string(out, key);
     out += ": ";
-    append_json_string(out, value);
+    util::append_json_string(out, value);
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -367,7 +345,7 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
     if (!matches_prefixes(name, prefixes)) continue;
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_json_string(out, name);
+    util::append_json_string(out, name);
     out += ": " + std::to_string(c->value());
   }
   out += first ? "},\n" : "\n  },\n";
@@ -378,8 +356,8 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
     if (!matches_prefixes(name, prefixes)) continue;
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_json_string(out, name);
-    out += ": " + format_double(g->value());
+    util::append_json_string(out, name);
+    out += ": " + util::format_double(g->value());
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -389,7 +367,7 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
     if (!matches_prefixes(name, prefixes)) continue;
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_json_string(out, name);
+    util::append_json_string(out, name);
     out += ": {\"upper_bounds\": [";
     const auto& bounds = h->upper_bounds();
     for (std::size_t i = 0; i < bounds.size(); ++i) {
@@ -413,8 +391,8 @@ std::string Registry::to_json(const std::vector<std::string>& prefixes) const {
                         {"p99", 0.99}, {"p99.9", 0.999}};
       for (std::size_t q = 0; q < std::size(kQuantiles); ++q) {
         out += q ? ", " : "";
-        append_json_string(out, kQuantiles[q].key);
-        out += ": " + format_double(h->quantile(kQuantiles[q].p));
+        util::append_json_string(out, kQuantiles[q].key);
+        out += ": " + util::format_double(h->quantile(kQuantiles[q].p));
       }
       out += "}, \"exact\": ";
       out += h->quantiles_exact() ? "true" : "false";

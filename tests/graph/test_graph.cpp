@@ -1,10 +1,12 @@
 // Graph-runtime structural tests (label: graph):
 //   - every malformed-graph class fails validation with the offending
 //     node named in the message (the CLI surfaces these verbatim);
-//   - the JSON topology format is a serialization fixed point, and the
-//     committed examples/model_zoo/*.json files are byte-identical to
-//     the programmatic zoo builders (no silent drift between the two);
-//   - the resnet18 zoo graph exports exactly the GEMM list the
+//   - every committed examples/model_zoo/*.json file validates and is
+//     a fixed point of emit ∘ parse (the files are the only description
+//     of the zoo graphs, so they must already be in canonical form);
+//   - malformed topology text fails with one located error, never a
+//     crash (a 100 000-deep `[` nest included);
+//   - the resnet18 zoo file exports exactly the GEMM list the
 //     hand-written nn::make_resnet18() emits, index for index;
 //   - composite nn blocks (ResidualBlock / TransformerBlock) and their
 //     graph-runtime equivalents produce bitwise-identical outputs and
@@ -13,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -29,8 +32,8 @@
 #include "nn/quant_engine.hpp"
 #include "nn/workload.hpp"
 #include "obs/metrics.hpp"
+#include "pipeline.hpp"
 #include "util/rng.hpp"
-#include "zoo.hpp"
 
 namespace drift {
 namespace {
@@ -147,16 +150,43 @@ TEST(GraphValidate, ShapeMismatchIsNamedByInference) {
       join(shapes.errors);
 }
 
+// --------------------------------------------------------------------
+// Model zoo: the committed topology files.
+// --------------------------------------------------------------------
+
+/// Every examples/model_zoo/*.json, sorted by path.
+std::vector<std::string> zoo_files() {
+  std::vector<std::string> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(DRIFT_MODEL_ZOO_DIR)) {
+    if (entry.path().extension() == ".json") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+Graph load_zoo_graph(const std::string& name) {
+  auto loaded = graphcli::load_topology_file(std::string(DRIFT_MODEL_ZOO_DIR) +
+                                             "/" + name + ".json");
+  EXPECT_TRUE(loaded.ok()) << name << ": " << join(loaded.errors);
+  return std::move(loaded.graph);
+}
+
 TEST(GraphValidate, ZooGraphsAreClean) {
-  for (const std::string& name : graphcli::zoo_names()) {
-    const Graph g = graphcli::make_zoo_graph(name);
-    EXPECT_TRUE(graph::validate(g).empty()) << name;
-    EXPECT_TRUE(graph::infer_shapes(g).ok()) << name;
+  const std::vector<std::string> paths = zoo_files();
+  EXPECT_EQ(paths.size(), 5u);
+  for (const std::string& path : paths) {
+    const auto loaded = graphcli::load_topology_file(path);
+    ASSERT_TRUE(loaded.ok()) << path << ": " << join(loaded.errors);
+    EXPECT_TRUE(graph::validate(loaded.graph).empty()) << path;
+    EXPECT_TRUE(graph::infer_shapes(loaded.graph).ok()) << path;
   }
 }
 
 // --------------------------------------------------------------------
-// JSON topology: canonical serialization + model-zoo sync.
+// JSON topology: canonical serialization and located parse errors.
 // --------------------------------------------------------------------
 
 std::string read_file_or_empty(const std::string& path) {
@@ -168,28 +198,47 @@ std::string read_file_or_empty(const std::string& path) {
 }
 
 TEST(GraphJson, EmitParseEmitIsAFixedPoint) {
-  for (const std::string& name : graphcli::zoo_names()) {
-    const std::string text =
-        graph::to_topology_json(graphcli::make_zoo_graph(name));
-    const auto parsed = graph::parse_topology(text);
-    ASSERT_TRUE(parsed.ok()) << name << ": " << join(parsed.errors);
-    EXPECT_EQ(graph::to_topology_json(parsed.graph), text) << name;
+  // The committed files are the canonical emit of themselves; after
+  // editing one by hand, replace it with the output of
+  // `drift_graph emit FILE` (written to another file first: the shell
+  // truncates a redirect target before the tool reads it).
+  for (const std::string& path : zoo_files()) {
+    const std::string committed = read_file_or_empty(path);
+    ASSERT_FALSE(committed.empty()) << "missing " << path;
+    const auto parsed = graph::parse_topology(committed);
+    ASSERT_TRUE(parsed.ok()) << path << ": " << join(parsed.errors);
+    const std::string emitted = graph::to_topology_json(parsed.graph);
+    EXPECT_EQ(emitted, committed)
+        << path << " is not in canonical form; replace it with the "
+        << "output of drift_graph emit " << path;
+    const auto reparsed = graph::parse_topology(emitted);
+    ASSERT_TRUE(reparsed.ok()) << path << ": " << join(reparsed.errors);
+    EXPECT_EQ(graph::to_topology_json(reparsed.graph), emitted) << path;
   }
 }
 
-TEST(GraphJson, ModelZooFilesMatchProgrammaticBuilders) {
-  // The committed examples/model_zoo/*.json are the canonical emit of
-  // the zoo builders; regenerate with `drift_graph emit --zoo=NAME`.
-  for (const std::string& name : graphcli::zoo_names()) {
-    const std::string path =
-        std::string(DRIFT_MODEL_ZOO_DIR) + "/" + name + ".json";
-    const std::string committed = read_file_or_empty(path);
-    ASSERT_FALSE(committed.empty()) << "missing " << path;
-    EXPECT_EQ(graph::to_topology_json(graphcli::make_zoo_graph(name)),
-              committed)
-        << name << " drifted from its builder; regenerate with "
-        << "drift_graph emit --zoo=" << name;
-  }
+TEST(GraphJson, DeepNestingIsOneLocatedError) {
+  // Before the shared depth-limited reader, a nest this deep overflowed
+  // the parser's stack.
+  const std::string text = R"({"name": "t", "inputs": )" +
+                           std::string(100000, '[') +
+                           std::string(100000, ']') +
+                           R"(, "nodes": [], "outputs": []})";
+  const auto parsed = graph::parse_topology(text);
+  ASSERT_EQ(parsed.errors.size(), 1u) << join(parsed.errors);
+  EXPECT_EQ(parsed.errors.front().rfind("line 1, col ", 0), 0u)
+      << parsed.errors.front();
+  EXPECT_NE(parsed.errors.front().find(": nesting too deep"),
+            std::string::npos)
+      << parsed.errors.front();
+}
+
+TEST(GraphJson, DuplicateKeyIsOneLocatedError) {
+  const auto parsed = graph::parse_topology(
+      "{\"name\": \"t\",\n \"name\": \"u\", \"inputs\": [], "
+      "\"nodes\": [], \"outputs\": []}");
+  ASSERT_EQ(parsed.errors.size(), 1u) << join(parsed.errors);
+  EXPECT_EQ(parsed.errors.front(), "line 2, col 2: duplicate key 'name'");
 }
 
 TEST(GraphJson, ParseErrorsNameTheNode) {
@@ -206,11 +255,11 @@ TEST(GraphJson, ParseErrorsNameTheNode) {
 }
 
 // --------------------------------------------------------------------
-// Workload export: the zoo resnet18 graph reproduces make_resnet18().
+// Workload export: the zoo resnet18 file reproduces make_resnet18().
 // --------------------------------------------------------------------
 
 TEST(GraphExport, Resnet18MatchesHandWrittenWorkload) {
-  const Graph g = graphcli::make_zoo_graph("resnet18");
+  const Graph g = load_zoo_graph("resnet18");
   const auto shapes = graph::infer_shapes(g);
   ASSERT_TRUE(shapes.ok());
   const nn::WorkloadSpec got = graph::to_workload(g, shapes);

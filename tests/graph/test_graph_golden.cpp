@@ -1,7 +1,8 @@
 // Golden end-to-end artifacts for whole-model graph runs (label:
 // graph):
 //
-// A fixed-seed model-zoo topology flows through the real pipeline —
+// A fixed-seed model-zoo topology (loaded from examples/model_zoo/)
+// flows through the real pipeline —
 // workload export -> selector -> scheduler -> cycle model -> traffic —
 // and the canonicalized metrics JSON (schema v2, deterministic metric
 // prefixes plus all per-layer records) is byte-compared against a
@@ -32,7 +33,6 @@
 #include "obs/trace.hpp"
 #include "pipeline.hpp"
 #include "util/thread_pool.hpp"
-#include "zoo.hpp"
 
 namespace drift {
 namespace {
@@ -55,13 +55,15 @@ std::vector<std::string> deterministic_prefixes() {
 /// topology and the default GraphPipelineConfig seed.
 graphcli::GraphPipelineResult run_fixed_pipeline(
     const std::string& zoo_name) {
+  const auto loaded = graphcli::load_topology_file(
+      std::string(DRIFT_MODEL_ZOO_DIR) + "/" + zoo_name + ".json");
+  EXPECT_TRUE(loaded.ok()) << zoo_name;
   obs::Registry::global().reset();
   obs::Tracer::global().reset();
   obs::Tracer::global().set_enabled(true);
   graphcli::GraphPipelineConfig config;  // kDrift, greedy, seed 17
   graphcli::GraphPipelineResult result =
-      graphcli::run_graph_pipeline(graphcli::make_zoo_graph(zoo_name),
-                                   config);
+      graphcli::run_graph_pipeline(loaded.graph, config);
   obs::Tracer::global().set_enabled(false);
   return result;
 }

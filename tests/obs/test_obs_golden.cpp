@@ -7,7 +7,8 @@
 //      checked-in golden (tests/obs/golden/metrics.json);
 //   2. the Chrome trace is parsed and validated structurally (every B
 //      has a matching E on its thread, nesting depth never goes
-//      negative, X durations are non-negative);
+//      negative, X durations are non-negative), and both artifacts
+//      parse with the shared JSON reader (util/json);
 //   3. the scraped per-layer numbers are re-derived from the selector
 //      output and the src/ref oracles (the acceptance cross-check).
 //
@@ -39,6 +40,7 @@
 #include "ref/ref_oracles.hpp"
 #include "systolic/cycle_sim.hpp"
 #include "tensor/subtensor.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace drift {
@@ -173,6 +175,11 @@ TEST(ObsGolden, MetricsJsonMatchesGolden) {
   EXPECT_EQ(scrape, golden)
       << "metrics scrape drifted from the golden; if the change is "
          "intentional, regenerate with DRIFT_OBS_UPDATE_GOLDEN=1";
+
+  std::string error;
+  const auto doc = util::parse_json(scrape, error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  EXPECT_TRUE(doc->is_object());
 }
 
 /// Pulls the integer value of `"key": <n>` out of one serialized trace
@@ -193,7 +200,7 @@ TEST(ObsGolden, ChromeTraceIsStructurallyValid) {
   // One event per line; track open B spans per (pid, tid).
   std::map<std::pair<std::int64_t, std::int64_t>, std::vector<std::string>>
       open_spans;
-  int begins = 0, ends = 0, completes = 0;
+  int begins = 0, ends = 0, completes = 0, metadata = 0;
   std::istringstream lines(json);
   std::string line;
   while (std::getline(lines, line)) {
@@ -226,6 +233,7 @@ TEST(ObsGolden, ChromeTraceIsStructurallyValid) {
         EXPECT_EQ(event_field(line, "pid", -1), 1) << line;
         break;
       case 'M':
+        ++metadata;
         EXPECT_EQ(event_field(line, "pid", -1), 1) << line;
         break;
       default:
@@ -240,6 +248,18 @@ TEST(ObsGolden, ChromeTraceIsStructurallyValid) {
   EXPECT_EQ(begins, ends);
   EXPECT_GT(begins, 0);     // the pipeline spans fired
   EXPECT_GT(completes, 0);  // the timeline rendered X events
+
+  // The line scan above trusts the one-event-per-line layout; the
+  // shared reader checks that the artifact is valid JSON and that the
+  // scan saw every event.
+  std::string error;
+  const auto doc = util::parse_json(json, error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const util::JsonValue* events = doc->get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_TRUE(events->is_array());
+  EXPECT_EQ(events->as_array().size(),
+            static_cast<std::size_t>(begins + ends + completes + metadata));
 }
 
 TEST(ObsGolden, MetricsMatchRefOracles) {

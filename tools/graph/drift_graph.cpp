@@ -2,14 +2,12 @@
 //
 //   drift_graph validate examples/model_zoo/*.json
 //   drift_graph shapes examples/model_zoo/resnet18.json
-//   drift_graph run --zoo=resnet18 --algo=drift --metrics-out=run.json
+//   drift_graph run examples/model_zoo/resnet18.json --metrics-out=run.json
 //   drift_graph run my_model.json --policy=exhaustive --budget=0.02
-//   drift_graph emit --zoo=gpt2_layer --out=gpt2_layer.json
-//   drift_graph list
+//   drift_graph emit my_model.json > my_model.canonical.json
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -19,7 +17,6 @@
 #include "pipeline.hpp"
 #include "util/args.hpp"
 #include "util/assert.hpp"
-#include "zoo.hpp"
 
 using namespace drift;
 using namespace drift::graphcli;
@@ -37,16 +34,17 @@ commands:
                     topological order
   run FILE          route every GEMM-bearing node through the selector
                     -> scheduler -> cycle model and print the per-model
-                    summary (use --zoo=NAME instead of FILE for a
-                    built-in topology)
-  emit --zoo=NAME   print (or --out=PATH) the canonical topology JSON
-                    of a built-in model
-  list              list the built-in model-zoo topologies
+                    summary
+  emit FILE         print the canonical form of a topology file (the
+                    committed examples/model_zoo/*.json are fixed points)
+
+The model zoo is examples/model_zoo/*.json: resnet18, vit_b16, deit_s,
+bert_base, gpt2_layer.
 
 run flags:
-  --zoo=NAME        built-in topology instead of a file
   --algo=NAME       int8|drq|drift  (default: drift)
   --policy=NAME     drift scheduler: greedy|exhaustive|fixed
+                    (default: greedy)
   --budget=F        excess-noise budget (default 0.05)
   --rows=N --cols=N BitGroup grid geometry (default 24x33)
   --seed=N          mix sampling seed (default 17)
@@ -56,33 +54,17 @@ run flags:
   --trace-out=P     write the Chrome trace artifact
 )";
 
-/// Reads a whole file; returns false (with a message on stderr) when
-/// the file cannot be opened.
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "drift_graph: cannot open '%s'\n", path.c_str());
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
-}
-
-/// Loads a graph from a topology file; prints parse errors and returns
-/// false on failure.
+/// Loads a graph from a topology file; prints every error (prefixed
+/// with the path) and returns false on failure.
 bool load_graph(const std::string& path, drift::graph::Graph& g) {
-  std::string text;
-  if (!read_file(path, text)) return false;
-  const auto parsed = drift::graph::parse_topology(text);
+  auto parsed = load_topology_file(path);
   if (!parsed.ok()) {
     for (const std::string& err : parsed.errors) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(), err.c_str());
     }
     return false;
   }
-  g = parsed.graph;
+  g = std::move(parsed.graph);
   return true;
 }
 
@@ -140,16 +122,10 @@ int cmd_shapes(const std::vector<std::string>& files) {
 }
 
 int cmd_run(const Args& args, const std::vector<std::string>& files) {
-  drift::graph::Graph g;
-  if (args.has("zoo")) {
-    g = make_zoo_graph(args.get_string("zoo", ""));
-  } else if (files.size() == 1) {
-    if (!load_graph(files[0], g)) return 1;
-  } else {
-    std::fprintf(stderr, "drift_graph run: give one FILE or --zoo=NAME\n");
+  if (files.size() != 1) {
+    std::fprintf(stderr, "drift_graph run: exactly one file expected\n");
     return 2;
   }
-
   GraphPipelineConfig config;
   const std::string algo = args.get_string("algo", "drift");
   if (algo == "int8") {
@@ -159,20 +135,33 @@ int cmd_run(const Args& args, const std::vector<std::string>& files) {
   } else if (algo == "drift") {
     config.algo = nn::MixAlgorithm::kDrift;
   } else {
-    std::fprintf(stderr, "drift_graph run: unknown --algo '%s'\n",
+    std::fprintf(stderr,
+                 "drift_graph run: unknown --algo '%s' (int8|drq|drift)\n",
                  algo.c_str());
     return 2;
   }
   const std::string policy = args.get_string("policy", "greedy");
-  config.policy = policy == "exhaustive"
-                      ? accel::SchedulerPolicy::kExhaustive
-                      : policy == "fixed" ? accel::SchedulerPolicy::kFixed
-                                          : accel::SchedulerPolicy::kGreedy;
+  if (policy == "greedy") {
+    config.policy = accel::SchedulerPolicy::kGreedy;
+  } else if (policy == "exhaustive") {
+    config.policy = accel::SchedulerPolicy::kExhaustive;
+  } else if (policy == "fixed") {
+    config.policy = accel::SchedulerPolicy::kFixed;
+  } else {
+    std::fprintf(stderr,
+                 "drift_graph run: unknown --policy '%s' "
+                 "(greedy|exhaustive|fixed)\n",
+                 policy.c_str());
+    return 2;
+  }
   config.noise_budget = args.get_double("budget", 0.05);
   config.dynamic_weights = !args.get_bool("no-dynamic-weights");
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 17));
   config.hw.array.rows = args.get_int("rows", 24);
   config.hw.array.cols = args.get_int("cols", 33);
+
+  drift::graph::Graph g;
+  if (!load_graph(files[0], g)) return 1;
 
   const auto artifacts = obs::ReportOptions::from_args(args);
   const bool layers = args.get_bool("layers");
@@ -198,32 +187,14 @@ int cmd_run(const Args& args, const std::vector<std::string>& files) {
   return artifacts.write() ? 0 : 1;
 }
 
-int cmd_emit(const Args& args) {
-  if (!args.has("zoo")) {
-    std::fprintf(stderr, "drift_graph emit: --zoo=NAME required\n");
+int cmd_emit(const std::vector<std::string>& files) {
+  if (files.size() != 1) {
+    std::fprintf(stderr, "drift_graph emit: exactly one file expected\n");
     return 2;
   }
-  const auto g = make_zoo_graph(args.get_string("zoo", ""));
-  const std::string json = drift::graph::to_topology_json(g);
-  const std::string out = args.get_string("out", "");
-  if (out.empty()) {
-    std::printf("%s", json.c_str());
-    return 0;
-  }
-  std::ofstream file(out, std::ios::binary);
-  file << json;
-  if (!file.good()) {
-    std::fprintf(stderr, "drift_graph emit: write to '%s' failed\n",
-                 out.c_str());
-    return 1;
-  }
-  return 0;
-}
-
-int cmd_list() {
-  for (const std::string& name : zoo_names()) {
-    std::printf("%s\n", name.c_str());
-  }
+  drift::graph::Graph g;
+  if (!load_graph(files[0], g)) return 1;
+  std::printf("%s", drift::graph::to_topology_json(g).c_str());
   return 0;
 }
 
@@ -243,8 +214,7 @@ int main(int argc, char** argv) {
     if (command == "validate") return cmd_validate(rest);
     if (command == "shapes") return cmd_shapes(rest);
     if (command == "run") return cmd_run(args, rest);
-    if (command == "emit") return cmd_emit(args);
-    if (command == "list") return cmd_list();
+    if (command == "emit") return cmd_emit(rest);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "drift_graph: %s\n", e.what());
     return 1;

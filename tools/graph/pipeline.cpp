@@ -1,5 +1,7 @@
 #include "pipeline.hpp"
 
+#include <fstream>
+#include <sstream>
 #include <utility>
 
 #include "accel/bitfusion.hpp"
@@ -10,6 +12,18 @@
 #include "util/assert.hpp"
 
 namespace drift::graphcli {
+
+drift::graph::TopologyParseResult load_topology_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    drift::graph::TopologyParseResult result;
+    result.errors.push_back("cannot open '" + path + "'");
+    return result;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return drift::graph::parse_topology(buffer.str());
+}
 
 GraphPipelineResult run_graph_pipeline(const drift::graph::Graph& g,
                                        const GraphPipelineConfig& config) {

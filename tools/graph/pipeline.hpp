@@ -11,7 +11,8 @@
 //
 // Lives in tools/ (not src/graph) because the lint layer DAG places
 // graph below accel: the graph library cannot depend on the
-// accelerator models, so the composition happens here.
+// accelerator models, so the composition happens here.  The topology
+// file loader lives here too: src/ parses text and does no file I/O.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include "accel/accelerator.hpp"
 #include "accel/drift_accel.hpp"
 #include "graph/graph.hpp"
+#include "graph/json_topology.hpp"
 #include "nn/precision_mix.hpp"
 
 namespace drift::graphcli {
@@ -46,6 +48,11 @@ struct GraphPipelineResult {
   std::vector<nn::LayerMix> mixes;
   accel::RunResult run;
 };
+
+/// Reads and parses a topology file (examples/model_zoo/*.json or a
+/// user model).  An unreadable file yields the single error
+/// "cannot open 'PATH'"; parse and schema errors are parse_topology's.
+drift::graph::TopologyParseResult load_topology_file(const std::string& path);
 
 /// Validates + shape-infers `g` (throws check_error naming the first
 /// offending node on failure), exports the workload, builds the

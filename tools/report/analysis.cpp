@@ -8,6 +8,11 @@
 
 namespace drift::report {
 
+using util::JsonArray;
+using util::JsonObject;
+using util::JsonValue;
+using util::format_double;
+
 namespace {
 
 constexpr const char* kQuadrantNames[4] = {"hh", "hl", "lh", "ll"};

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "json.hpp"
+#include "util/json.hpp"
 
 namespace drift::report {
 
@@ -32,11 +32,12 @@ struct SummarizeOptions {
 };
 
 /// Derived analysis of one run.  `trace` may be null (no --trace file).
-JsonValue summarize(const JsonValue& metrics, const JsonValue* trace,
-                    const SummarizeOptions& options);
+util::JsonValue summarize(const util::JsonValue& metrics,
+                          const util::JsonValue* trace,
+                          const SummarizeOptions& options);
 
 /// Human-readable rendering of a summarize() report.
-std::string summary_text(const JsonValue& report);
+std::string summary_text(const util::JsonValue& report);
 
 struct DiffEntry {
   std::string path;       ///< flattened metric path, e.g. "counters.sim.cycles"
@@ -66,8 +67,8 @@ struct DiffResult {
 /// exactly the leaves that legitimately differ between two fixed-seed
 /// runs of the same workload.  Returns false on a malformed tolerance
 /// file, with `error` set.
-bool diff_runs(const JsonValue& a, const JsonValue& b,
-               const JsonValue* tolerances, DiffResult& result,
+bool diff_runs(const util::JsonValue& a, const util::JsonValue& b,
+               const util::JsonValue* tolerances, DiffResult& result,
                std::string& error);
 
 struct RatchetEntry {
@@ -90,7 +91,7 @@ struct RatchetResult {
 /// more than `max_slowdown`; kernels missing from the current run are
 /// failures too (a silently shrunk corpus must not pass), while
 /// kernels the baseline doesn't know yet are warn-only.
-RatchetResult ratchet(const JsonValue& current, const JsonValue& baseline,
-                      double max_slowdown);
+RatchetResult ratchet(const util::JsonValue& current,
+                      const util::JsonValue& baseline, double max_slowdown);
 
 }  // namespace drift::report

@@ -5,9 +5,16 @@
 #include <sstream>
 
 #include "analysis.hpp"
-#include "json.hpp"
+#include "util/json.hpp"
 
 namespace drift::report {
+
+using util::JsonArray;
+using util::JsonObject;
+using util::JsonValue;
+using util::format_double;
+using util::parse_json;
+using util::write_canonical;
 
 namespace {
 
