@@ -42,8 +42,20 @@ struct CompareConfig {
   std::uint64_t seed = 17;
 };
 
+/// The four designs of Figures 7 and 8.
+enum class Design { kEyeriss, kBitFusion, kDrq, kDrift };
+
+/// Mix settings of the quantization algorithm `design` executes.
+/// Eyeriss ignores its mix (FP32) and takes the static INT8 one.
+nn::MixConfig mix_config(Design design, const CompareConfig& config);
+
 /// Runs the four designs on `spec`.
 Comparison compare_workload(const nn::WorkloadSpec& spec,
                             const CompareConfig& config);
+
+/// Runs one design on `spec`, building only that design's mixes.  The
+/// result equals the matching member of compare_workload(spec, config).
+RunResult run_design(Design design, const nn::WorkloadSpec& spec,
+                     const CompareConfig& config);
 
 }  // namespace drift::accel

@@ -18,6 +18,16 @@ DramModel::DramModel(const DramConfig& config) : config_(config) {
       static_cast<std::size_t>(config.channels * config.banks_per_channel));
 }
 
+std::int64_t DramModel::open_row(std::int64_t channel,
+                                std::int64_t bank) const {
+  DRIFT_CHECK(channel >= 0 && channel < config_.channels && bank >= 0 &&
+                  bank < config_.banks_per_channel,
+              "bank out of range");
+  return banks_[static_cast<std::size_t>(
+                    channel * config_.banks_per_channel + bank)]
+      .open_row;
+}
+
 TransferResult DramModel::transfer(std::int64_t address, std::int64_t bytes,
                                    bool is_write) {
   DRIFT_CHECK(address >= 0 && bytes >= 0, "invalid transfer");
@@ -26,53 +36,75 @@ TransferResult DramModel::transfer(std::int64_t address, std::int64_t bytes,
 
   // Address mapping: bursts interleave across channels, then rows map
   // onto banks round-robin — the streaming-friendly mapping DNN
-  // accelerators use.
+  // accelerators use.  Global row r holds bursts_per_row bursts on
+  // every channel and lives in bank r % banks of each channel.
+  const std::int64_t channels = config_.channels;
+  const std::int64_t banks = config_.banks_per_channel;
   const std::int64_t first_burst = address / config_.burst_bytes;
   const std::int64_t last_burst =
       (address + bytes - 1) / config_.burst_bytes;
-  const std::int64_t bursts_per_row =
-      config_.row_bytes / config_.burst_bytes;
+  const std::int64_t bursts_per_global_row =
+      config_.row_bytes / config_.burst_bytes * channels;
 
-  // Per-channel bus occupancy in memory cycles.
-  std::vector<std::int64_t> channel_busy(
-      static_cast<std::size_t>(config_.channels), 0);
+  // Each channel streams its bursts in address order, so it visits the
+  // global rows [row_first, row_last] once each, in order.  Bank k sees
+  // rows r, r + banks, r + 2*banks, ... of that range: its first visit
+  // hits only if r is already open, and every later visit is a miss
+  // that precharges the row the previous visit opened.
+  std::int64_t busy = 0;     // slowest channel, in memory cycles
+  std::int64_t misses = 0;
+  for (std::int64_t c = 0; c < channels; ++c) {
+    const std::int64_t first =
+        first_burst + (c - first_burst % channels + channels) % channels;
+    const std::int64_t last =
+        last_burst - (last_burst % channels - c + channels) % channels;
+    if (first > last) continue;  // transfer shorter than the interleave
 
-  for (std::int64_t b = first_burst; b <= last_burst; ++b) {
-    const std::int64_t channel = b % config_.channels;
-    const std::int64_t row_global = b / (bursts_per_row * config_.channels);
-    const std::int64_t bank_idx = row_global % config_.banks_per_channel;
-    Bank& bank = banks_[static_cast<std::size_t>(
-        channel * config_.banks_per_channel + bank_idx)];
-
-    std::int64_t burst_cost = config_.t_bl;
-    if (bank.open_row == row_global) {
-      ++stats_.row_hits;
-    } else {
-      ++stats_.row_misses;
-      const bool needs_precharge = bank.open_row >= 0;
-      burst_cost += config_.t_rcd + config_.t_cl +
-                    (needs_precharge ? config_.t_rp : 0);
-      bank.open_row = row_global;
-      result.energy_pj += config_.e_activate_pj;
-      stats_.energy_pj += config_.e_activate_pj;
+    const std::int64_t row_first = first / bursts_per_global_row;
+    const std::int64_t row_last = last / bursts_per_global_row;
+    const std::int64_t first_rows =
+        std::min(row_last - row_first + 1, banks);
+    std::int64_t channel_misses = 0;
+    std::int64_t precharges = 0;
+    for (std::int64_t r = row_first; r < row_first + first_rows; ++r) {
+      Bank& bank = banks_[static_cast<std::size_t>(c * banks + r % banks)];
+      const std::int64_t revisits = (row_last - r) / banks;
+      if (bank.open_row != r) {
+        ++channel_misses;
+        if (bank.open_row >= 0) ++precharges;
+      }
+      channel_misses += revisits;
+      precharges += revisits;
+      bank.open_row = r + revisits * banks;
     }
-    channel_busy[static_cast<std::size_t>(channel)] += burst_cost;
-    result.energy_pj += config_.e_burst_pj;
-    stats_.energy_pj += config_.e_burst_pj;
-    if (is_write) ++stats_.writes; else ++stats_.reads;
+
+    const std::int64_t channel_bursts = (last - first) / channels + 1;
+    stats_.row_hits += channel_bursts - channel_misses;
+    misses += channel_misses;
+    busy = std::max(busy, channel_bursts * config_.t_bl +
+                              channel_misses * (config_.t_rcd + config_.t_cl) +
+                              precharges * config_.t_rp);
   }
 
-  std::int64_t busy = 0;
-  for (std::int64_t c : channel_busy) busy = std::max(busy, c);
+  const std::int64_t bursts = last_burst - first_burst + 1;
+  stats_.row_misses += misses;
+  (is_write ? stats_.writes : stats_.reads) += bursts;
   stats_.busy_mem_cycles += busy;
 
   result.core_cycles = static_cast<std::int64_t>(std::ceil(
       static_cast<double>(busy) / config_.mem_cycles_per_core_cycle));
-  // Background energy for the occupancy window.
+  // Event energy, then background energy for the occupancy window.
+  // With integer-valued event energies every partial sum is an exact
+  // integer below 2^53, so this equals summing the events burst by
+  // burst; fractional energies round once here instead.
+  const double events =
+      static_cast<double>(misses) * config_.e_activate_pj +
+      static_cast<double>(bursts) * config_.e_burst_pj;
   const double background =
       config_.e_background_pj_per_core_cycle *
       static_cast<double>(result.core_cycles);
-  result.energy_pj += background;
+  result.energy_pj = events + background;
+  stats_.energy_pj += events;
   stats_.energy_pj += background;
   return result;
 }

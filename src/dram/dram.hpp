@@ -8,6 +8,10 @@
 // precharge+activate.  Energy follows the same events (activate,
 // read/write burst, background).
 //
+// A transfer is evaluated in closed form per (channel, bank) — O(channels
+// x min(rows, banks)) per call, independent of its size — and is pinned
+// bitwise to the burst-by-burst oracle in src/ref/ref_dram.hpp.
+//
 // The accelerator models consume two things: the *cycles* a transfer
 // occupies (to detect memory-bound layers) and the *energy* it costs
 // (Figure 8's DRAM component).
@@ -89,6 +93,10 @@ class DramModel {
 
   const DramConfig& config() const { return config_; }
   const DramStats& stats() const { return stats_; }
+
+  /// Row currently open in (channel, bank); -1 when the bank is closed.
+  std::int64_t open_row(std::int64_t channel, std::int64_t bank) const;
+
   void reset_stats() { stats_ = DramStats{}; }
 
  private:

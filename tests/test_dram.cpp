@@ -23,6 +23,37 @@ TEST(Dram, SequentialStreamIsMostlyRowHits) {
   EXPECT_GT(model.stats().row_hit_rate(), 0.9);
 }
 
+// Exact figures of the default device, pinned from the burst-by-burst
+// model (src/ref/ref_dram.hpp) the closed form replaced.
+TEST(Dram, OneMebibyteStreamExactFigures) {
+  DramModel model;
+  const auto r = model.transfer(0, 1 << 20, false);
+  EXPECT_EQ(r.core_cycles, 18667);
+  EXPECT_EQ(r.energy_pj, 6950440.0);
+  EXPECT_EQ(model.stats().reads, 16384);
+  EXPECT_EQ(model.stats().row_misses, 512);
+  EXPECT_EQ(model.stats().row_hits, 15872);
+  EXPECT_EQ(model.stats().busy_mem_cycles, 44800);
+
+  // Again: every bank holds the last of its 16 rows open, so each first
+  // visit is a precharged miss.
+  const auto again = model.transfer(0, 1 << 20, false);
+  EXPECT_EQ(again.core_cycles, 18774);
+  EXPECT_EQ(again.energy_pj, 6963280.0);
+  EXPECT_EQ(model.stats().energy_pj, r.energy_pj + again.energy_pj);
+}
+
+TEST(Dram, TransferAcrossRowBoundaryExactFigures) {
+  // Bursts 63 and 64: the last burst of row 0 on channel 1 and the
+  // first burst of row 1 on channel 0 — one activation per channel.
+  DramModel model;
+  const auto r = model.transfer(4032, 128, false);
+  EXPECT_EQ(model.stats().row_misses, 2);
+  EXPECT_EQ(model.stats().row_hits, 0);
+  EXPECT_EQ(r.core_cycles, 15);
+  EXPECT_EQ(r.energy_pj, 4700.0);
+}
+
 TEST(Dram, RevisitingOpenRowHits) {
   DramModel model;
   model.transfer(0, 64, false);
@@ -84,7 +115,7 @@ TEST(Dram, EnergyAccumulatesInStats) {
   DramModel model;
   const auto a = model.transfer(0, 1024, false);
   const auto b = model.transfer(1 << 16, 1024, true);
-  EXPECT_NEAR(model.stats().energy_pj, a.energy_pj + b.energy_pj, 1e-6);
+  EXPECT_EQ(model.stats().energy_pj, a.energy_pj + b.energy_pj);
 }
 
 TEST(Dram, InvalidGeometryThrows) {

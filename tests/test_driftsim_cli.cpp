@@ -1,0 +1,106 @@
+// driftsim CLI contract tests (label: integration): the binary is
+// spawned as a user would run it, and the exit codes are pinned.
+//   - an unknown --accel, --policy or --model is a usage error (exit 2)
+//     that lists the valid names;
+//   - --accel=drift runs Drift alone and prints the same line as the
+//     Drift row of --accel=all;
+//   - every documented flag is recognized (no "unknown flag" warning).
+#include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <sstream>
+#include <string>
+
+namespace {
+
+struct CliResult {
+  int exit_code = -1;
+  std::string output;
+};
+
+/// Runs driftsim with `args`, stderr folded into the captured output.
+CliResult run_cli(const std::string& args) {
+  const std::string cmd =
+      std::string("'") + DRIFT_DRIFTSIM_BIN + "' " + args + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << "failed to spawn: " << cmd;
+  CliResult result;
+  if (!pipe) return result;
+  char buf[4096];
+  while (std::size_t n = fread(buf, 1, sizeof buf, pipe)) {
+    result.output.append(buf, n);
+  }
+  const int status = pclose(pipe);
+  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return result;
+}
+
+/// The output line starting with `prefix`, or "" when there is none.
+std::string line_starting_with(const std::string& text,
+                               const std::string& prefix) {
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(prefix, 0) == 0) return line;
+  }
+  return "";
+}
+
+void expect_usage_error(const std::string& args, const std::string& flag,
+                        const std::string& value, const std::string& names) {
+  const CliResult r = run_cli(args);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("unknown --" + flag + " '" + value + "'"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find(names), std::string::npos) << r.output;
+}
+
+TEST(DriftsimCli, UnknownAccelExitsTwoAndListsChoices) {
+  expect_usage_error("--accel=tpu", "accel", "tpu",
+                     "eyeriss|bitfusion|drq|drift|all");
+}
+
+TEST(DriftsimCli, UnknownPolicyExitsTwoAndListsChoices) {
+  expect_usage_error("--policy=bogus", "policy", "bogus",
+                     "greedy|exhaustive|fixed");
+}
+
+TEST(DriftsimCli, UnknownModelExitsTwoAndListsChoices) {
+  expect_usage_error("--model=alexnet", "model", "alexnet",
+                     "resnet18|resnet50|vit_b|deit_s|bert|gpt2_xl|"
+                     "bloom_7b1|opt_6p7b");
+}
+
+TEST(DriftsimCli, SingleDesignMatchesItsRowOfAll) {
+  const CliResult all = run_cli("--model=resnet18 --accel=all");
+  const CliResult drift = run_cli("--model=resnet18 --accel=drift");
+  ASSERT_EQ(all.exit_code, 0) << all.output;
+  ASSERT_EQ(drift.exit_code, 0) << drift.output;
+
+  const std::string want = line_starting_with(all.output, "Drift ");
+  ASSERT_FALSE(want.empty()) << all.output;
+  EXPECT_EQ(line_starting_with(drift.output, "Drift "), want)
+      << drift.output;
+  // Only the selected design runs.
+  EXPECT_EQ(line_starting_with(drift.output, "Eyeriss "), "")
+      << drift.output;
+  EXPECT_EQ(drift.output.find("speedup over Eyeriss"), std::string::npos)
+      << drift.output;
+}
+
+TEST(DriftsimCli, DocumentedFlagsAreRecognized) {
+  const CliResult r = run_cli(
+      "--model=resnet18 --accel=eyeriss --policy=fixed --budget=0.05 "
+      "--rows=24 --cols=33 --no-dynamic-weights --layers --controller "
+      "--timeline");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.find("unknown flag"), std::string::npos) << r.output;
+  // --timeline shows Drift's timeline whichever design ran.
+  EXPECT_NE(r.output.find("Drift double-buffered timeline"),
+            std::string::npos)
+      << r.output;
+}
+
+}  // namespace

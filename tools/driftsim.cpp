@@ -9,13 +9,13 @@
 //   driftsim --gemm=1024x768x3072 --accel=drift --budget=0.02
 //   driftsim --model=vit_b --accel=drift --rows=32 --cols=32 --csv=out.csv
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
+#include <vector>
 
-#include "accel/bitfusion.hpp"
 #include "accel/compare.hpp"
 #include "accel/controller.hpp"
-#include "accel/drq_accel.hpp"
-#include "accel/eyeriss.hpp"
 #include "accel/timeline.hpp"
 #include "util/args.hpp"
 #include "util/csv.hpp"
@@ -31,7 +31,8 @@ flags:
   --model=NAME     resnet18|resnet50|vit_b|deit_s|bert|gpt2_xl|bloom_7b1|
                    opt_6p7b  (default: resnet18)
   --gemm=MxKxN     run a single custom GEMM instead of a model
-  --accel=NAME     eyeriss|bitfusion|drq|drift|all  (default: all)
+  --accel=NAME     eyeriss|bitfusion|drq|drift|all  (default: all); a
+                   single design builds only its own mixes
   --policy=NAME    drift scheduler: greedy|exhaustive|fixed (default greedy)
   --budget=F       excess-noise budget for the Drift selector (default 0.05)
   --rows=N --cols=N  BitGroup grid geometry (default 24x33 = 792 units)
@@ -39,11 +40,20 @@ flags:
   --csv=PATH       also write per-layer results as CSV
   --layers         print per-layer detail
   --controller     print controller (index buffer / overlap) report
-  --timeline       print the double-buffered execution timeline (Gantt)
+  --timeline       print Drift's double-buffered timeline (Gantt)
   --help           this text
 )";
 
+/// Exits 2 with the valid choices, like drift_graph's usage errors.
+[[noreturn]] void unknown_choice(const char* flag, const std::string& value,
+                                 const char* choices) {
+  std::fprintf(stderr, "driftsim: unknown --%s '%s' (%s)\n", flag,
+               value.c_str(), choices);
+  std::exit(2);
+}
+
 nn::WorkloadSpec pick_model(const std::string& name) {
+  if (name == "resnet18") return nn::make_resnet18();
   if (name == "resnet50") return nn::make_resnet50();
   if (name == "vit_b") return nn::make_vit_b16();
   if (name == "deit_s") return nn::make_deit_s();
@@ -51,11 +61,9 @@ nn::WorkloadSpec pick_model(const std::string& name) {
   if (name == "gpt2_xl") return nn::make_gpt2_xl();
   if (name == "bloom_7b1") return nn::make_bloom_7b1();
   if (name == "opt_6p7b") return nn::make_opt_6p7b();
-  if (name != "resnet18") {
-    std::fprintf(stderr, "unknown model '%s', using resnet18\n",
-                 name.c_str());
-  }
-  return nn::make_resnet18();
+  unknown_choice("model", name,
+                 "resnet18|resnet50|vit_b|deit_s|bert|gpt2_xl|bloom_7b1|"
+                 "opt_6p7b");
 }
 
 nn::WorkloadSpec custom_gemm(const std::string& spec_str) {
@@ -77,9 +85,20 @@ nn::WorkloadSpec custom_gemm(const std::string& spec_str) {
 }
 
 accel::SchedulerPolicy pick_policy(const std::string& name) {
+  if (name == "greedy") return accel::SchedulerPolicy::kGreedy;
   if (name == "exhaustive") return accel::SchedulerPolicy::kExhaustive;
   if (name == "fixed") return accel::SchedulerPolicy::kFixed;
-  return accel::SchedulerPolicy::kGreedy;
+  unknown_choice("policy", name, "greedy|exhaustive|fixed");
+}
+
+/// The design `--accel` selects; nullopt selects all four.
+std::optional<accel::Design> pick_design(const std::string& name) {
+  if (name == "all") return std::nullopt;
+  if (name == "eyeriss") return accel::Design::kEyeriss;
+  if (name == "bitfusion") return accel::Design::kBitFusion;
+  if (name == "drq") return accel::Design::kDrq;
+  if (name == "drift") return accel::Design::kDrift;
+  unknown_choice("accel", name, "eyeriss|bitfusion|drq|drift|all");
 }
 
 void print_run(const accel::RunResult& r, bool layers) {
@@ -124,9 +143,11 @@ int main(int argc, char** argv) {
   cfg.hw.array.rows = args.get_int("rows", 24);
   cfg.hw.array.cols = args.get_int("cols", 33);
 
-  const std::string which = args.get_string("accel", "all");
+  const std::optional<accel::Design> design =
+      pick_design(args.get_string("accel", "all"));
   const bool layers = args.get_bool("layers");
   const bool controller = args.get_bool("controller");
+  const bool timeline_flag = args.get_bool("timeline");
   const auto csv_path = args.get("csv");
 
   for (const std::string& flag : args.unqueried()) {
@@ -143,24 +164,36 @@ int main(int argc, char** argv) {
               static_cast<long long>(cfg.hw.array.units()),
               cfg.noise_budget);
 
-  const auto cmp = accel::compare_workload(spec, cfg);
-  if (which == "all" || which == "eyeriss") print_run(cmp.eyeriss, layers);
-  if (which == "all" || which == "bitfusion") {
-    print_run(cmp.bitfusion, layers);
+  // All four designs go through compare_workload; a single design
+  // builds only its own mixes and runs only its own model.
+  accel::Comparison cmp;
+  accel::RunResult single;
+  std::vector<const accel::RunResult*> runs;
+  if (design) {
+    single = accel::run_design(*design, spec, cfg);
+    runs = {&single};
+  } else {
+    cmp = accel::compare_workload(spec, cfg);
+    runs = {&cmp.eyeriss, &cmp.bitfusion, &cmp.drq, &cmp.drift};
   }
-  if (which == "all" || which == "drq") print_run(cmp.drq, layers);
-  if (which == "all" || which == "drift") print_run(cmp.drift, layers);
+  for (const accel::RunResult* r : runs) print_run(*r, layers);
 
-  if (which == "all") {
+  if (!design) {
     std::printf("\nspeedup over Eyeriss: BitFusion %.2fx, DRQ %.2fx, "
                 "Drift %.2fx\n",
                 cmp.speedup_bitfusion(), cmp.speedup_drq(),
                 cmp.speedup_drift());
   }
 
-  if (args.get_bool("timeline")) {
+  if (timeline_flag) {
+    // The timeline is Drift's, whichever design --accel printed.
+    const accel::RunResult drift_run =
+        !design ? cmp.drift
+        : *design == accel::Design::kDrift
+            ? single
+            : accel::run_design(accel::Design::kDrift, spec, cfg);
     std::vector<accel::TimelineLayer> tl;
-    for (const auto& l : cmp.drift.layers) {
+    for (const auto& l : drift_run.layers) {
       tl.push_back({l.layer, l.compute_cycles, l.dram_cycles});
     }
     const auto timeline = accel::build_timeline(tl);
@@ -175,11 +208,9 @@ int main(int argc, char** argv) {
   }
 
   if (controller) {
-    nn::MixConfig mix_cfg;
-    mix_cfg.algo = nn::MixAlgorithm::kDrift;
-    mix_cfg.noise_budget = cfg.noise_budget;
-    mix_cfg.dynamic_weights = cfg.drift_dynamic_weights;
-    const auto mixes = nn::build_mixes(spec, mix_cfg);
+    // The Drift run's own mixes (same seed and selector settings).
+    const auto mixes = nn::build_mixes(
+        spec, accel::mix_config(accel::Design::kDrift, cfg));
     const auto report = accel::evaluate_controller(mixes, cfg.hw.array);
     std::printf("\ncontroller: peak index buffer %lld bytes (%s), "
                 "control work hidden under compute for %.1f%% of layers\n",
@@ -191,8 +222,7 @@ int main(int argc, char** argv) {
   if (csv_path) {
     CsvWriter csv(*csv_path, {"design", "layer", "compute_cycles",
                               "dram_cycles", "cycles", "utilization"});
-    for (const accel::RunResult* r :
-         {&cmp.eyeriss, &cmp.bitfusion, &cmp.drq, &cmp.drift}) {
+    for (const accel::RunResult* r : runs) {
       for (const auto& l : r->layers) {
         csv.row_values(r->accelerator, l.layer, l.compute_cycles,
                        l.dram_cycles, l.cycles, l.utilization);
