@@ -30,11 +30,13 @@
 #include <string>
 #include <vector>
 
+#include "accel/compare.hpp"
 #include "core/noise_budget.hpp"
 #include "core/quantizer.hpp"
 #include "core/scheduler.hpp"
 #include "core/selector.hpp"
 #include "dram/dram.hpp"
+#include "graph/workload_export.hpp"
 #include "nn/gemm.hpp"
 #include "nn/int_gemm.hpp"
 // drift-lint: allow(intrinsic) — the bench sweep toggles the
@@ -43,7 +45,7 @@
 #include "nn/synthetic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "pipeline.hpp"
+#include "topology_file.hpp"
 #include "proptest/proptest.hpp"
 #include "serve/simulator.hpp"
 #include "util/args.hpp"
@@ -534,10 +536,12 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
     std::fprintf(stderr, "[kernels] resnet18 topology: %s\n",
                  resnet18.errors.front().c_str());
   } else {
-    graphcli::GraphPipelineConfig gcfg;
-    graphcli::GraphPipelineResult gres;
+    accel::RunResult grun;
     const double wall = best_seconds(
-        [&] { gres = graphcli::run_graph_pipeline(resnet18.graph, gcfg); },
+        [&] {
+          grun = accel::run_design(accel::Design::kDrift,
+                                   graph::to_workload(resnet18.graph), {});
+        },
         1);
     KernelResult r;
     r.name = "graph_resnet18_cycles";
@@ -545,14 +549,14 @@ void run_kernel_sweep(const std::vector<CorpusResult>& corpus) {
     r.threads = 1;
     r.backend = nn::simd::active().name;
     r.seconds = wall;
-    r.ops_per_s = 1e12 / static_cast<double>(gres.run.cycles);
+    r.ops_per_s = 1e12 / static_cast<double>(grun.cycles);
     results.push_back(r);
     std::fprintf(stderr,
                  "[kernels] %-16s %-18s threads=%d backend=%-6s %.3fs  "
                  "cycles=%lld (%.3g \"ops/s\")\n",
                  r.name.c_str(), r.shape.c_str(), r.threads,
                  r.backend.c_str(), wall,
-                 static_cast<long long>(gres.run.cycles), r.ops_per_s);
+                 static_cast<long long>(grun.cycles), r.ops_per_s);
   }
   util::ThreadPool::instance().resize(0);
 

@@ -22,16 +22,16 @@ using namespace drift;
 namespace {
 
 struct SweepPoint {
-  nn::MixAlgorithm algo = nn::MixAlgorithm::kDrift;
+  std::string algo;  ///< the design's quantization algorithm
   double load = 0.0;
   serve::SloSummary slo;
   double utilization = 0.0;
   std::int64_t batches = 0;
 };
 
-SweepPoint run_point(nn::MixAlgorithm algo, double load) {
+SweepPoint run_point(accel::Design design, double load) {
   serve::ServeConfig config;
-  config.exec.algo = algo;
+  config.design = design;
   config.max_batch = 8;
 
   serve::TenantSpec tenant;
@@ -56,7 +56,7 @@ SweepPoint run_point(nn::MixAlgorithm algo, double load) {
   const serve::ServeResult result = sim.run();
 
   SweepPoint point;
-  point.algo = algo;
+  point.algo = nn::to_string(accel::mix_config(design, config.exec).algo);
   point.load = load;
   point.slo = result.overall;
   point.utilization = result.utilization();
@@ -72,17 +72,16 @@ int main(int argc, char** argv) {
   const auto to_us = [&](double cycles) { return 1e6 * cycles / clock_hz; };
 
   const std::vector<double> loads = {0.3, 0.5, 0.7, 0.85, 0.95};
-  const std::vector<nn::MixAlgorithm> algos = {
-      nn::MixAlgorithm::kStaticInt8, nn::MixAlgorithm::kDrq,
-      nn::MixAlgorithm::kDrift};
+  const std::vector<accel::Design> designs = {
+      accel::Design::kBitFusion, accel::Design::kDrq, accel::Design::kDrift};
 
   std::printf("serving sweep: bursty tiny-BERT, 400 requests per point, "
               "max batch 8, clock %.0f MHz\n\n", clock_hz / 1e6);
 
   std::vector<SweepPoint> points;
-  for (const nn::MixAlgorithm algo : algos) {
+  for (const accel::Design design : designs) {
     for (const double load : loads) {
-      points.push_back(run_point(algo, load));
+      points.push_back(run_point(design, load));
     }
   }
 
@@ -91,7 +90,7 @@ int main(int argc, char** argv) {
   char buf[64];
   for (const SweepPoint& p : points) {
     std::vector<std::string> row;
-    row.push_back(nn::to_string(p.algo));
+    row.push_back(p.algo);
     std::snprintf(buf, sizeof(buf), "%.2f", p.load);
     row.push_back(buf);
     std::snprintf(buf, sizeof(buf), "%.2f",
@@ -123,7 +122,7 @@ int main(int argc, char** argv) {
         "\"p50_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": %.3f, "
         "\"mean_wait_us\": %.3f, \"energy_per_request_uj\": %.4f, "
         "\"utilization\": %.4f}",
-        i == 0 ? "" : ",", nn::to_string(p.algo).c_str(), p.load,
+        i == 0 ? "" : ",", p.algo.c_str(), p.load,
         static_cast<long long>(p.slo.count),
         to_us(static_cast<double>(p.slo.p50_cycles)),
         to_us(static_cast<double>(p.slo.p99_cycles)),

@@ -3,6 +3,7 @@
 #include "accel/bitfusion.hpp"
 #include "accel/drq_accel.hpp"
 #include "accel/eyeriss.hpp"
+#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace drift::accel {
@@ -30,6 +31,13 @@ double Comparison::energy_drift() const {
   return drift.energy.total_pj() / eyeriss.energy.total_pj();
 }
 
+std::optional<Design> design_from_algo(const std::string& name) {
+  if (name == "int8") return Design::kBitFusion;
+  if (name == "drq") return Design::kDrq;
+  if (name == "drift") return Design::kDrift;
+  return std::nullopt;
+}
+
 nn::MixConfig mix_config(Design design, const CompareConfig& config) {
   nn::MixConfig mix;
   mix.seed = config.seed;
@@ -53,26 +61,21 @@ nn::MixConfig mix_config(Design design, const CompareConfig& config) {
   return mix;
 }
 
-namespace {
-
-RunResult run_model(Design design, const nn::WorkloadSpec& spec,
-                    const std::vector<nn::LayerMix>& mixes,
-                    const CompareConfig& config) {
+std::unique_ptr<Accelerator> make_model(Design design,
+                                        const CompareConfig& config) {
   switch (design) {
     case Design::kEyeriss:
-      return EyerissModel(config.hw).run(spec, mixes);
+      return std::make_unique<EyerissModel>(config.hw);
     case Design::kBitFusion:
-      return BitFusionModel(config.hw).run(spec, mixes);
+      return std::make_unique<BitFusionModel>(config.hw);
     case Design::kDrq:
-      return DrqAccelModel(config.hw).run(spec, mixes);
+      return std::make_unique<DrqAccelModel>(config.hw);
     case Design::kDrift:
-      return DriftAccelModel(config.hw, config.drift_policy).run(spec, mixes);
+      return std::make_unique<DriftAccelModel>(config.hw, config.drift_policy);
   }
   DRIFT_CHECK(false, "unknown design");
-  return {};
+  return nullptr;
 }
-
-}  // namespace
 
 Comparison compare_workload(const nn::WorkloadSpec& spec,
                             const CompareConfig& config) {
@@ -88,17 +91,29 @@ Comparison compare_workload(const nn::WorkloadSpec& spec,
   const auto drift_mixes =
       nn::build_mixes(spec, mix_config(Design::kDrift, config));
 
-  cmp.eyeriss = run_model(Design::kEyeriss, spec, int8_mixes, config);
-  cmp.bitfusion = run_model(Design::kBitFusion, spec, int8_mixes, config);
-  cmp.drq = run_model(Design::kDrq, spec, drq_mixes, config);
-  cmp.drift = run_model(Design::kDrift, spec, drift_mixes, config);
+  cmp.eyeriss = make_model(Design::kEyeriss, config)->run(spec, int8_mixes);
+  cmp.bitfusion =
+      make_model(Design::kBitFusion, config)->run(spec, int8_mixes);
+  cmp.drq = make_model(Design::kDrq, config)->run(spec, drq_mixes);
+  cmp.drift = make_model(Design::kDrift, config)->run(spec, drift_mixes);
   return cmp;
 }
 
 RunResult run_design(Design design, const nn::WorkloadSpec& spec,
                      const CompareConfig& config) {
-  return run_model(design, spec,
-                   nn::build_mixes(spec, mix_config(design, config)), config);
+  const auto mixes = nn::build_mixes(spec, mix_config(design, config));
+  // Attributed here rather than in build_mixes: compare_workload builds
+  // three mix sets under the same layer names, which would count each
+  // layer's rows three times.
+  for ([[maybe_unused]] const nn::LayerMix& mix : mixes) {
+    DRIFT_OBS_LAYER_SCOPE(mix.layer.name);
+    DRIFT_OBS_LAYER(
+        rec, rec->subtensors_total += mix.work.m_high + mix.work.m_low;
+        rec->subtensors_low += mix.work.m_low;
+        rec->elements_total += (mix.work.m_high + mix.work.m_low) * mix.work.k;
+        rec->elements_low += mix.work.m_low * mix.work.k);
+  }
+  return make_model(design, config)->run(spec, mixes);
 }
 
 }  // namespace drift::accel

@@ -1,9 +1,15 @@
-// End-to-end comparison harness: runs one workload on all four
-// accelerator models with the matching quantization algorithm per
-// design, and reports results normalized to Eyeriss (the convention of
-// Figures 7 and 8).
+// How a design runs: each accelerator model executes the precision
+// mixes of its own quantization algorithm (Eyeriss FP32, BitFusion
+// static INT8, DRQ, Drift's Eq. 5/6 selector + Eq. 8 scheduler).  This
+// is the one place that rule lives: compare_workload runs all four
+// designs (normalized to Eyeriss, the convention of Figures 7 and 8),
+// run_design runs one, and make_model is the single design -> model
+// switch the serving executor shares.
 #pragma once
 
+#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "accel/accelerator.hpp"
@@ -45,9 +51,18 @@ struct CompareConfig {
 /// The four designs of Figures 7 and 8.
 enum class Design { kEyeriss, kBitFusion, kDrq, kDrift };
 
+/// The design serving `--algo=NAME` in the CLIs: "int8" (BitFusion),
+/// "drq" or "drift"; nullopt for any other name.
+std::optional<Design> design_from_algo(const std::string& name);
+
 /// Mix settings of the quantization algorithm `design` executes.
 /// Eyeriss ignores its mix (FP32) and takes the static INT8 one.
 nn::MixConfig mix_config(Design design, const CompareConfig& config);
+
+/// The accelerator model of `design` under `config` (Drift runs
+/// `config.drift_policy`).
+std::unique_ptr<Accelerator> make_model(Design design,
+                                        const CompareConfig& config);
 
 /// Runs the four designs on `spec`.
 Comparison compare_workload(const nn::WorkloadSpec& spec,
@@ -55,6 +70,10 @@ Comparison compare_workload(const nn::WorkloadSpec& spec,
 
 /// Runs one design on `spec`, building only that design's mixes.  The
 /// result equals the matching member of compare_workload(spec, config).
+/// Each layer's mix class split (rows and element-weighted 4-bit
+/// coverage) is attributed to that layer's obs record, which the
+/// model's scheduler, cycle and DRAM stages then fill: one record per
+/// GEMM for the whole run.
 RunResult run_design(Design design, const nn::WorkloadSpec& spec,
                      const CompareConfig& config);
 

@@ -21,6 +21,15 @@ std::string to_string(SchedulerPolicy policy) {
   return "?";
 }
 
+std::optional<SchedulerPolicy> policy_from_string(const std::string& name) {
+  for (const SchedulerPolicy policy :
+       {SchedulerPolicy::kGreedy, SchedulerPolicy::kExhaustive,
+        SchedulerPolicy::kFixed}) {
+    if (name == to_string(policy)) return policy;
+  }
+  return std::nullopt;
+}
+
 std::string DriftAccelModel::name() const {
   return policy_ == SchedulerPolicy::kGreedy
              ? "Drift"

@@ -6,6 +6,8 @@
 // data-flow stalls that throttle single-array designs.
 #pragma once
 
+#include <optional>
+
 #include "accel/accelerator.hpp"
 #include "core/scheduler.hpp"
 
@@ -19,6 +21,10 @@ enum class SchedulerPolicy {
 };
 
 std::string to_string(SchedulerPolicy policy);
+
+/// Inverse of to_string ("greedy" | "exhaustive" | "fixed"); nullopt
+/// for any other name.
+std::optional<SchedulerPolicy> policy_from_string(const std::string& name);
 
 class DriftAccelModel : public Accelerator {
  public:

@@ -10,14 +10,7 @@
 namespace drift::graph {
 
 GraphExecutor::GraphExecutor(Graph g, Rng& rng) : graph_(std::move(g)) {
-  const std::vector<std::string> structural = validate(graph_);
-  if (!structural.empty()) {
-    throw check_error("invalid graph: " + structural.front());
-  }
-  shapes_ = infer_shapes(graph_);
-  if (!shapes_.ok()) {
-    throw check_error("shape inference failed: " + shapes_.errors.front());
-  }
+  shapes_ = checked_shapes(graph_);
 
   layers_.reserve(graph_.nodes.size());
   specs_.reserve(graph_.nodes.size());

@@ -49,10 +49,10 @@ struct OpSpec {
   TensorF (*run)(const Node& node,
                  const std::vector<const TensorF*>& in) = nullptr;
 
-  /// Appends this node's GEMMs (named `prefix + node.name[...]`) to a
-  /// hardware workload export.  Null for non-GEMM ops.
+  /// Appends this node's GEMMs (named after the node) to a hardware
+  /// workload export.  Null for non-GEMM ops.
   void (*export_gemms)(const Node& node, const std::vector<Dims>& in,
-                       const Dims& out, const std::string& prefix,
+                       const Dims& out,
                        std::vector<nn::LayerGemm>& gemms) = nullptr;
 };
 
@@ -76,6 +76,11 @@ struct ShapeResult {
 /// applying each op's shape rule.  A node whose producer failed to
 /// infer is skipped (only the root cause is reported).
 ShapeResult infer_shapes(const Graph& g);
+
+/// infer_shapes for a graph that is about to run or export: throws
+/// check_error naming the first offending node, "invalid graph: ..."
+/// for a structural error or "shape inference failed: ..." otherwise.
+ShapeResult checked_shapes(const Graph& g);
 
 /// Right-aligned numpy-style broadcast of two shapes; returns "" and
 /// fills `out` on success, otherwise an error message.  Exposed for

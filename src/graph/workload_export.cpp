@@ -14,9 +14,8 @@ nn::ModelFamily family_from_string(const std::string& family) {
                     "' (expected cnn, vit, bert or llm)");
 }
 
-nn::WorkloadSpec to_workload(const Graph& g, const ShapeResult& shapes,
-                             const WorkloadExportOptions& options) {
-  DRIFT_CHECK(shapes.ok(), "to_workload requires clean shape inference");
+nn::WorkloadSpec to_workload(const Graph& g) {
+  const ShapeResult shapes = checked_shapes(g);
   nn::WorkloadSpec spec;
   spec.model = g.name;
   spec.family = family_from_string(g.family);
@@ -39,7 +38,7 @@ nn::WorkloadSpec to_workload(const Graph& g, const ShapeResult& shapes,
       in_dims.push_back(shapes.by_name.at(in_name));
     }
     op->export_gemms(node, in_dims, shapes.by_name.at(node.name),
-                     options.prefix, spec.layers);
+                     spec.layers);
   }
   return spec;
 }

@@ -14,18 +14,13 @@
 
 namespace drift::graph {
 
-struct WorkloadExportOptions {
-  /// Prepended to every exported layer name (e.g. "resnet18/").
-  std::string prefix;
-};
-
 /// Maps the graph's family tag to the model family + distribution
 /// profiles ("cnn" | "vit" | "bert" | "llm"; anything else throws).
 nn::ModelFamily family_from_string(const std::string& family);
 
-/// Exports every GEMM-bearing node.  `shapes` must be a clean
-/// infer_shapes(g) result (DRIFT_CHECKed).
-nn::WorkloadSpec to_workload(const Graph& g, const ShapeResult& shapes,
-                             const WorkloadExportOptions& options = {});
+/// Validates and shape-infers `g` (checked_shapes: an invalid graph
+/// throws check_error naming the first offending node), then exports
+/// every GEMM-bearing node.
+nn::WorkloadSpec to_workload(const Graph& g);
 
 }  // namespace drift::graph

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,8 +20,8 @@ enum class ArrivalKind { kPoisson, kBursty, kDiurnal };
 
 std::string to_string(ArrivalKind kind);
 
-/// Parse "poisson" / "bursty" / "diurnal"; returns kPoisson on unknown.
-ArrivalKind arrival_kind_from_string(const std::string& name);
+/// Parse "poisson" / "bursty" / "diurnal"; nullopt for any other name.
+std::optional<ArrivalKind> arrival_kind_from_string(const std::string& name);
 
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::kPoisson;

@@ -2,28 +2,18 @@
 
 #include <utility>
 
-#include "accel/bitfusion.hpp"
-#include "accel/drq_accel.hpp"
 #include "util/assert.hpp"
 
 namespace drift::serve {
 
-BatchExecutor::BatchExecutor(ExecConfig config, std::vector<TenantSpec> tenants,
+BatchExecutor::BatchExecutor(accel::Design design,
+                             const accel::CompareConfig& exec,
+                             std::vector<TenantSpec> tenants,
                              util::ThreadPool& pool)
-    : config_(std::move(config)), tenants_(std::move(tenants)) {
+    : mix_(accel::mix_config(design, exec)),
+      tenants_(std::move(tenants)),
+      model_(accel::make_model(design, exec)) {
   DRIFT_CHECK(!tenants_.empty(), "executor needs at least one tenant");
-  switch (config_.algo) {
-    case nn::MixAlgorithm::kStaticInt8:
-      model_ = std::make_unique<accel::BitFusionModel>(config_.hw);
-      break;
-    case nn::MixAlgorithm::kDrq:
-      model_ = std::make_unique<accel::DrqAccelModel>(config_.hw);
-      break;
-    case nn::MixAlgorithm::kDrift:
-      model_ = std::make_unique<accel::DriftAccelModel>(config_.hw,
-                                                        config_.drift_policy);
-      break;
-  }
 
   states_.resize(tenants_.size());
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
@@ -76,13 +66,7 @@ BatchExecutor::BatchExecutor(ExecConfig config, std::vector<TenantSpec> tenants,
 }
 
 nn::MixConfig BatchExecutor::mix_config(const TenantSpec& tenant) const {
-  nn::MixConfig cfg;
-  cfg.algo = config_.algo;
-  cfg.drift = config_.drift_selector;
-  cfg.drq = config_.drq_config;
-  cfg.dynamic_weights = config_.drift_dynamic_weights;
-  cfg.auto_threshold = config_.auto_threshold;
-  cfg.noise_budget = config_.noise_budget;
+  nn::MixConfig cfg = mix_;
   cfg.seed = tenant.seed;
   return cfg;
 }

@@ -21,25 +21,12 @@
 #include <memory>
 #include <vector>
 
-#include "accel/accelerator.hpp"
-#include "accel/drift_accel.hpp"
+#include "accel/compare.hpp"
 #include "nn/precision_mix.hpp"
 #include "serve/tenant.hpp"
 #include "util/thread_pool.hpp"
 
 namespace drift::serve {
-
-/// Which accelerator + mix algorithm serves the traffic.
-struct ExecConfig {
-  accel::AccelConfig hw{};
-  nn::MixAlgorithm algo = nn::MixAlgorithm::kDrift;
-  core::SelectorConfig drift_selector{};
-  core::DrqConfig drq_config{};
-  bool drift_dynamic_weights = true;
-  bool auto_threshold = true;
-  double noise_budget = 0.05;
-  accel::SchedulerPolicy drift_policy = accel::SchedulerPolicy::kGreedy;
-};
 
 /// One batch's accelerator outcome.
 struct BatchResult {
@@ -50,13 +37,13 @@ struct BatchResult {
 
 class BatchExecutor {
  public:
-  /// Precomputes every tenant's canonical mix and (when
-  /// unique_mix_per_request) each request's activation patterns on
-  /// `pool`.
-  BatchExecutor(ExecConfig config, std::vector<TenantSpec> tenants,
-                util::ThreadPool& pool);
+  /// Serves `design` (accel::make_model, with accel::mix_config's mix
+  /// settings) under `exec`.  Precomputes every tenant's canonical mix
+  /// and (when unique_mix_per_request) each request's activation
+  /// patterns on `pool`.
+  BatchExecutor(accel::Design design, const accel::CompareConfig& exec,
+                std::vector<TenantSpec> tenants, util::ThreadPool& pool);
 
-  const ExecConfig& config() const { return config_; }
   const std::vector<TenantSpec>& tenants() const { return tenants_; }
 
   /// The tenant's workload with layer names prefixed by the tenant name
@@ -69,9 +56,9 @@ class BatchExecutor {
   const std::vector<nn::LayerMix>& request_mixes(int tenant,
                                                  std::int64_t local) const;
 
-  /// The MixConfig a tenant's mixes are built with (algo + seed wired
-  /// from the executor / tenant config) — exposed so tests can
-  /// reproduce canonical mixes via nn::build_mixes.
+  /// The MixConfig a tenant's mixes are built with: the design's
+  /// accel::mix_config, seeded from TenantSpec::seed — exposed so tests
+  /// can reproduce canonical mixes via nn::build_mixes.
   nn::MixConfig mix_config(const TenantSpec& tenant) const;
 
   /// Runs one batch (same-tenant request indices, admission order):
@@ -96,7 +83,7 @@ class BatchExecutor {
 
   const TenantState& state(int tenant) const;
 
-  ExecConfig config_;
+  nn::MixConfig mix_;  ///< the design's mix settings; seed per tenant
   std::vector<TenantSpec> tenants_;
   std::vector<TenantState> states_;
   std::unique_ptr<accel::Accelerator> model_;

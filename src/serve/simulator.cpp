@@ -73,7 +73,7 @@ std::int64_t exact_quantile(std::vector<std::int64_t> values, double p) {
 
 Simulator::Simulator(ServeConfig config, util::ThreadPool& pool)
     : config_(std::move(config)),
-      executor_(config_.exec, config_.tenants, pool) {
+      executor_(config_.design, config_.exec, config_.tenants, pool) {
   DRIFT_CHECK(config_.max_batch >= 1, "max_batch must be at least 1");
 }
 

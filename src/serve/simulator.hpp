@@ -30,7 +30,12 @@ namespace drift::serve {
 
 struct ServeConfig {
   std::vector<TenantSpec> tenants;
-  ExecConfig exec{};
+  /// The design serving the traffic; it runs its own quantization
+  /// algorithm, as in accel::run_design.
+  accel::Design design = accel::Design::kDrift;
+  /// Hardware, scheduler policy and mix settings.  exec.seed is
+  /// ignored: each tenant seeds its mixes from TenantSpec::seed.
+  accel::CompareConfig exec{};
   std::int64_t max_batch = 8;
   /// Per-request Chrome-trace tracks are capped (each costs a pid-1
   /// track); requests beyond the cap are counted in

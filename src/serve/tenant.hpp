@@ -29,10 +29,14 @@ struct TenantSpec {
 /// Small fixed-shape workloads sized for the serving simulator: real
 /// layer-kind variety (conv / fc / attention / ffn) but dimensions that
 /// keep a per-batch accelerator run in the microsecond range, so soak
-/// tests can push tens of thousands of requests.  `name` selects
-/// "tiny-cnn", "tiny-bert" or any paper workload by its model name
-/// (e.g. "ResNet18"); unknown names fall back to tiny-cnn.
+/// tests can push tens of thousands of requests.  `name` is one of
+/// serving_workload_names(); any other name throws check_error listing
+/// them.
 nn::WorkloadSpec serving_workload(const std::string& name);
+
+/// The names serving_workload accepts: "tiny-bert", "tiny-cnn", then
+/// every paper workload's model name (e.g. "ResNet18"), joined by '|'.
+std::string serving_workload_names();
 
 /// Copy of `spec` with every layer renamed "<prefix>/<layer>", so two
 /// tenants running the same model keep separate obs layer records.

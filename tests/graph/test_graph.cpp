@@ -15,10 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,7 +29,9 @@
 #include "nn/quant_engine.hpp"
 #include "nn/workload.hpp"
 #include "obs/metrics.hpp"
-#include "pipeline.hpp"
+#include "test_support.hpp"
+#include "topology_file.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace drift {
@@ -56,11 +55,7 @@ bool has_error_mentioning(const std::vector<std::string>& errors,
                      });
 }
 
-std::string join(const std::vector<std::string>& v) {
-  std::string out;
-  for (const auto& s : v) out += s + "\n";
-  return out;
-}
+using test_support::join;
 
 // --------------------------------------------------------------------
 // Negative validation: each malformed-graph class names its node.
@@ -156,15 +151,7 @@ TEST(GraphValidate, ShapeMismatchIsNamedByInference) {
 
 /// Every examples/model_zoo/*.json, sorted by path.
 std::vector<std::string> zoo_files() {
-  std::vector<std::string> paths;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(DRIFT_MODEL_ZOO_DIR)) {
-    if (entry.path().extension() == ".json") {
-      paths.push_back(entry.path().string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-  return paths;
+  return test_support::json_files(DRIFT_MODEL_ZOO_DIR);
 }
 
 Graph load_zoo_graph(const std::string& name) {
@@ -189,13 +176,7 @@ TEST(GraphValidate, ZooGraphsAreClean) {
 // JSON topology: canonical serialization and located parse errors.
 // --------------------------------------------------------------------
 
-std::string read_file_or_empty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
+using test_support::read_file_or_empty;
 
 TEST(GraphJson, EmitParseEmitIsAFixedPoint) {
   // The committed files are the canonical emit of themselves; after
@@ -259,10 +240,7 @@ TEST(GraphJson, ParseErrorsNameTheNode) {
 // --------------------------------------------------------------------
 
 TEST(GraphExport, Resnet18MatchesHandWrittenWorkload) {
-  const Graph g = load_zoo_graph("resnet18");
-  const auto shapes = graph::infer_shapes(g);
-  ASSERT_TRUE(shapes.ok());
-  const nn::WorkloadSpec got = graph::to_workload(g, shapes);
+  const nn::WorkloadSpec got = graph::to_workload(load_zoo_graph("resnet18"));
   const nn::WorkloadSpec want = nn::make_resnet18();
 
   EXPECT_EQ(got.family, want.family);
@@ -281,6 +259,32 @@ TEST(GraphExport, Resnet18MatchesHandWrittenWorkload) {
   EXPECT_EQ(got.total_macs(), want.total_macs());
 }
 
+TEST(GraphExport, InvalidGraphThrowsNamingTheFirstError) {
+  // to_workload refuses what it cannot run: structural errors first,
+  // then shape errors, each naming the node.
+  const auto export_error = [](const Graph& g) -> std::string {
+    try {
+      graph::to_workload(g);
+    } catch (const check_error& e) {
+      return e.what();
+    }
+    return "exported";
+  };
+  const std::string dangling = export_error(GraphBuilder("dangling")
+                                                .input("x", {4, 4})
+                                                .node("a", "add", {"x", "y"})
+                                                .build());
+  EXPECT_EQ(dangling.rfind("invalid graph: node 'a'", 0), 0u) << dangling;
+  const std::string badshape = export_error(
+      GraphBuilder("badshape")
+          .input("x", {4, 4})
+          .then("a", "conv2d", AttrMap{{"out_channels", Attr::of_int(8)},
+                                       {"kernel", Attr::of_int(3)}})
+          .build());
+  EXPECT_EQ(badshape.rfind("shape inference failed: node 'a'", 0), 0u)
+      << badshape;
+}
+
 // --------------------------------------------------------------------
 // Composite blocks vs. graph execution: bitwise outputs and identical
 // per-node obs record sets (satellite 4's pin).
@@ -288,23 +292,14 @@ TEST(GraphExport, Resnet18MatchesHandWrittenWorkload) {
 
 /// Names of the layer records currently in the registry (obs builds).
 std::set<std::string> scrape_record_names() {
-  std::set<std::string> names;
 #ifndef DRIFT_OBS_OFF
   // The canonical scrape always includes layer records; pulling names
   // via layer_record would create them, so parse the JSON lines.
-  const std::string json = obs::Registry::global().to_json({"none."});
-  std::istringstream lines(json);
-  std::string line;
-  while (std::getline(lines, line)) {
-    const std::string marker = "\"layer\": \"";
-    const std::size_t pos = line.find(marker);
-    if (pos == std::string::npos) continue;
-    const std::size_t start = pos + marker.size();
-    const std::size_t end = line.find('"', start);
-    names.insert(line.substr(start, end - start));
-  }
+  return test_support::layer_record_names(
+      obs::Registry::global().to_json({"none."}));
+#else
+  return {};
 #endif
-  return names;
 }
 
 TensorF fill_normal(Shape shape, std::uint64_t seed) {

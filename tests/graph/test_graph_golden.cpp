@@ -19,8 +19,6 @@
 // GEMM layer).  Under -DDRIFT_OBS_OFF the whole suite GTEST_SKIPs.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -28,10 +26,13 @@
 #include <utility>
 #include <vector>
 
+#include "accel/compare.hpp"
+#include "graph/workload_export.hpp"
 #include "nn/workload.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "pipeline.hpp"
+#include "test_support.hpp"
+#include "topology_file.hpp"
 #include "util/thread_pool.hpp"
 
 namespace drift {
@@ -50,52 +51,32 @@ std::vector<std::string> deterministic_prefixes() {
   return {"accel.", "scheduler.", "traffic."};
 }
 
-/// Runs `zoo_name` through the full pipeline from a clean registry and
-/// tracer.  Everything recorded is a deterministic function of the
-/// topology and the default GraphPipelineConfig seed.
-graphcli::GraphPipelineResult run_fixed_pipeline(
-    const std::string& zoo_name) {
+/// Runs `zoo_name` through the full pipeline (Drift, greedy, the
+/// default CompareConfig seed) from a clean registry and tracer and
+/// returns the exported workload.  Everything recorded is a
+/// deterministic function of the topology and the seed.
+nn::WorkloadSpec run_fixed_pipeline(const std::string& zoo_name) {
   const auto loaded = graphcli::load_topology_file(
       std::string(DRIFT_MODEL_ZOO_DIR) + "/" + zoo_name + ".json");
   EXPECT_TRUE(loaded.ok()) << zoo_name;
   obs::Registry::global().reset();
   obs::Tracer::global().reset();
   obs::Tracer::global().set_enabled(true);
-  graphcli::GraphPipelineConfig config;  // kDrift, greedy, seed 17
-  graphcli::GraphPipelineResult result =
-      graphcli::run_graph_pipeline(loaded.graph, config);
+  nn::WorkloadSpec workload = graph::to_workload(loaded.graph);
+  accel::run_design(accel::Design::kDrift, workload, accel::CompareConfig{});
   obs::Tracer::global().set_enabled(false);
-  return result;
+  return workload;
 }
 
 std::string golden_path(const std::string& zoo_name) {
   return std::string(DRIFT_GRAPH_GOLDEN_DIR) + "/" + zoo_name + ".json";
 }
 
-std::string read_file_or_empty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 void check_against_golden(const std::string& zoo_name) {
   run_fixed_pipeline(zoo_name);
-  const std::string scrape =
-      obs::Registry::global().to_json(deterministic_prefixes());
-  if (std::getenv("DRIFT_OBS_UPDATE_GOLDEN") != nullptr) {
-    ASSERT_TRUE(obs::write_file(golden_path(zoo_name), scrape));
-    GTEST_SKIP() << "golden regenerated at " << golden_path(zoo_name);
-  }
-  const std::string golden = read_file_or_empty(golden_path(zoo_name));
-  ASSERT_FALSE(golden.empty())
-      << "missing golden " << golden_path(zoo_name)
-      << " — regenerate with DRIFT_OBS_UPDATE_GOLDEN=1";
-  EXPECT_EQ(scrape, golden)
-      << zoo_name
-      << " artifact drifted from the golden; if the change is "
-         "intentional, regenerate with DRIFT_OBS_UPDATE_GOLDEN=1";
+  test_support::expect_matches_golden(
+      obs::Registry::global().to_json(deterministic_prefixes()),
+      golden_path(zoo_name), "DRIFT_OBS_UPDATE_GOLDEN");
 }
 
 TEST(GraphGolden, Resnet18ArtifactMatchesGolden) {
@@ -120,45 +101,28 @@ TEST(GraphGolden, ArtifactIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(GraphGolden, EveryGemmLayerHasARecordAndAnAccelSpan) {
-  const graphcli::GraphPipelineResult result =
-      run_fixed_pipeline("resnet18");
+  const nn::WorkloadSpec workload = run_fixed_pipeline("resnet18");
 
   // Per-node records: one for every exported GEMM layer, none extra
   // within the run (the scrape always carries the layer records).
   std::set<std::string> want_layers;
-  for (const nn::LayerGemm& layer : result.workload.layers) {
+  for (const nn::LayerGemm& layer : workload.layers) {
     want_layers.insert(layer.name);
   }
-  std::set<std::string> got_layers;
-  const std::string json = obs::Registry::global().to_json({"none."});
-  std::istringstream lines(json);
-  std::string line;
-  while (std::getline(lines, line)) {
-    const std::string marker = "\"layer\": \"";
-    const std::size_t pos = line.find(marker);
-    if (pos == std::string::npos) continue;
-    const std::size_t start = pos + marker.size();
-    got_layers.insert(line.substr(start, line.find('"', start) - start));
-  }
-  EXPECT_EQ(got_layers, want_layers);
+  EXPECT_EQ(test_support::layer_record_names(
+                obs::Registry::global().to_json({"none."})),
+            want_layers);
 
   // Per-node trace spans: every B has a matching E on its thread and
   // the accel model opened exactly one layer span per mix.
   const std::string trace = obs::Tracer::global().to_chrome_json();
   ASSERT_EQ(trace.rfind("{\"traceEvents\": [", 0), 0u);
-  const auto event_field = [](const std::string& event,
-                              const std::string& key) -> std::int64_t {
-    const std::string marker = "\"" + key + "\": ";
-    const std::size_t pos = event.find(marker);
-    if (pos == std::string::npos) return -1;
-    return std::atoll(event.c_str() + pos + marker.size());
-  };
   std::map<std::pair<std::int64_t, std::int64_t>,
            std::vector<std::string>>
       open_spans;  // by (pid, tid)
   int accel_spans = 0, begins = 0, ends = 0;
   std::istringstream trace_lines(trace);
-  while (std::getline(trace_lines, line)) {
+  for (std::string line; std::getline(trace_lines, line);) {
     if (line.rfind("{\"name\": ", 0) != 0) continue;
     const std::size_t name_end = line.find('"', 10);
     ASSERT_NE(name_end, std::string::npos) << line;
@@ -166,8 +130,8 @@ TEST(GraphGolden, EveryGemmLayerHasARecordAndAnAccelSpan) {
     const std::size_t ph_pos = line.find("\"ph\": \"");
     ASSERT_NE(ph_pos, std::string::npos) << line;
     const char ph = line[ph_pos + 7];
-    const auto tid = std::make_pair(event_field(line, "pid"),
-                                    event_field(line, "tid"));
+    const auto tid = std::make_pair(test_support::event_field(line, "pid"),
+                                    test_support::event_field(line, "tid"));
     if (ph == 'B') {
       ++begins;
       if (name == "drift_accel.layer") ++accel_spans;
@@ -186,8 +150,7 @@ TEST(GraphGolden, EveryGemmLayerHasARecordAndAnAccelSpan) {
         << " tid " << track.second;
   }
   EXPECT_EQ(begins, ends);
-  EXPECT_EQ(accel_spans,
-            static_cast<int>(result.mixes.size()));
+  EXPECT_EQ(accel_spans, static_cast<int>(workload.layers.size()));
 }
 
 #else  // DRIFT_OBS_OFF

@@ -16,61 +16,40 @@
 //   DRIFT_LINT_REPO_ROOT       the real repository root (self-analysis)
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
+
+#include "test_support.hpp"
 
 namespace {
 
-struct RunResult {
-  int exit_code = -1;
-  std::string output;  ///< stdout only; stderr goes to the test log
-};
+using drift::test_support::CliResult;
+using drift::test_support::read_file_or_empty;
 
-RunResult run_lint(const std::string& args) {
-  const std::string cmd = std::string(DRIFT_LINT_BIN) + " " + args;
-  FILE* pipe = popen(cmd.c_str(), "r");
-  EXPECT_NE(pipe, nullptr) << "failed to spawn: " << cmd;
-  RunResult result;
-  if (!pipe) return result;
-  char buf[4096];
-  while (std::size_t n = fread(buf, 1, sizeof buf, pipe)) {
-    result.output.append(buf, n);
-  }
-  const int status = pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << "cannot open " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+/// stdout only; stderr goes to the test log.
+CliResult run_lint(const std::string& args) {
+  return drift::test_support::run_cli(DRIFT_LINT_BIN, args, false);
 }
 
 std::string fixtures_root() { return DRIFT_LINT_FIXTURES; }
 
 TEST(DriftLint, JsonOutputMatchesGoldenFileExactly) {
-  const RunResult r =
+  const CliResult r =
       run_lint("--root " + fixtures_root() + " --format=json src tools tests");
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_EQ(r.output, read_file(DRIFT_LINT_EXPECTED));
+  EXPECT_EQ(r.output, read_file_or_empty(DRIFT_LINT_EXPECTED));
 }
 
 TEST(DriftLint, SarifOutputMatchesGoldenFileExactly) {
-  const RunResult r =
+  const CliResult r =
       run_lint("--root " + fixtures_root() + " --format=sarif src tools tests");
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_EQ(r.output, read_file(DRIFT_LINT_EXPECTED_SARIF));
+  EXPECT_EQ(r.output, read_file_or_empty(DRIFT_LINT_EXPECTED_SARIF));
 }
 
 TEST(DriftLint, RatchetWithinBudgetExitsZero) {
   // The fixture ratchet grants exactly the corpus's per-rule counts, so
   // the run reports violations but the gate passes.
-  const RunResult r = run_lint("--root " + fixtures_root() +
+  const CliResult r = run_lint("--root " + fixtures_root() +
                                " --format=json --ratchet " +
                                DRIFT_LINT_RATCHET_FIXTURE +
                                " src tools tests 2>/dev/null");
@@ -80,7 +59,7 @@ TEST(DriftLint, RatchetWithinBudgetExitsZero) {
 TEST(DriftLint, RatchetExceededExitsOne) {
   // The committed repo baseline is all zeros; the fixture corpus blows
   // through every budget.
-  const RunResult r = run_lint("--root " + fixtures_root() +
+  const CliResult r = run_lint("--root " + fixtures_root() +
                                " --format=json --ratchet " +
                                DRIFT_LINT_RATCHET_ZERO +
                                " src tools tests 2>/dev/null");
@@ -88,7 +67,7 @@ TEST(DriftLint, RatchetExceededExitsOne) {
 }
 
 TEST(DriftLint, MissingRatchetFileExitsTwo) {
-  const RunResult r =
+  const CliResult r =
       run_lint("--root " + fixtures_root() +
                " --ratchet /nonexistent/ratchet.json src 2>/dev/null");
   EXPECT_EQ(r.exit_code, 2);
@@ -96,14 +75,14 @@ TEST(DriftLint, MissingRatchetFileExitsTwo) {
 
 TEST(DriftLint, SelfAnalysisIsClean) {
   // The analyzer must hold itself to its own rules.
-  const RunResult r =
+  const CliResult r =
       run_lint(std::string("--root ") + DRIFT_LINT_REPO_ROOT + " tools/lint");
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
 TEST(DriftLint, CleanDirectoryExitsZero) {
   // fixtures/tests holds only a clean header.
-  const RunResult r =
+  const CliResult r =
       run_lint("--root " + fixtures_root() + " --format=json tests");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("\"violation_count\": 0"), std::string::npos)
@@ -111,7 +90,7 @@ TEST(DriftLint, CleanDirectoryExitsZero) {
 }
 
 TEST(DriftLint, TextFormatReportsFileLineAndRule) {
-  const RunResult r = run_lint("--root " + fixtures_root() + " src");
+  const CliResult r = run_lint("--root " + fixtures_root() + " src");
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.output.find("src/core/narrow_viol.cpp:5: [narrow]"),
             std::string::npos)
@@ -122,13 +101,13 @@ TEST(DriftLint, TextFormatReportsFileLineAndRule) {
 }
 
 TEST(DriftLint, CleanAndSuppressedFilesProduceNoFindings) {
-  const RunResult r = run_lint("--root " + fixtures_root() + " src");
+  const CliResult r = run_lint("--root " + fixtures_root() + " src");
   EXPECT_EQ(r.output.find("clean.cpp"), std::string::npos) << r.output;
   EXPECT_EQ(r.output.find("suppressed.cpp"), std::string::npos) << r.output;
 }
 
 TEST(DriftLint, UnknownFlagExitsWithUsageError) {
-  const RunResult r = run_lint("--definitely-not-a-flag 2>/dev/null");
+  const CliResult r = run_lint("--definitely-not-a-flag 2>/dev/null");
   EXPECT_EQ(r.exit_code, 2);
 }
 

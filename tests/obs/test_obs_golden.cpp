@@ -21,8 +21,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -40,6 +38,7 @@
 #include "ref/ref_oracles.hpp"
 #include "systolic/cycle_sim.hpp"
 #include "tensor/subtensor.hpp"
+#include "test_support.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -152,29 +151,12 @@ std::string golden_path() {
   return std::string(DRIFT_OBS_GOLDEN_DIR) + "/metrics.json";
 }
 
-std::string read_file_or_empty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 TEST(ObsGolden, MetricsJsonMatchesGolden) {
   run_fixed_workload();
   const std::string scrape =
       obs::Registry::global().to_json(deterministic_prefixes());
-  if (std::getenv("DRIFT_OBS_UPDATE_GOLDEN") != nullptr) {
-    ASSERT_TRUE(obs::write_file(golden_path(), scrape));
-    GTEST_SKIP() << "golden regenerated at " << golden_path();
-  }
-  const std::string golden = read_file_or_empty(golden_path());
-  ASSERT_FALSE(golden.empty())
-      << "missing golden " << golden_path()
-      << " — regenerate with DRIFT_OBS_UPDATE_GOLDEN=1";
-  EXPECT_EQ(scrape, golden)
-      << "metrics scrape drifted from the golden; if the change is "
-         "intentional, regenerate with DRIFT_OBS_UPDATE_GOLDEN=1";
+  test_support::expect_matches_golden(scrape, golden_path(),
+                                      "DRIFT_OBS_UPDATE_GOLDEN");
 
   std::string error;
   const auto doc = util::parse_json(scrape, error);
@@ -182,15 +164,7 @@ TEST(ObsGolden, MetricsJsonMatchesGolden) {
   EXPECT_TRUE(doc->is_object());
 }
 
-/// Pulls the integer value of `"key": <n>` out of one serialized trace
-/// event line; `fallback` when the key is absent.
-std::int64_t event_field(const std::string& line, const std::string& key,
-                         std::int64_t fallback) {
-  const std::string marker = "\"" + key + "\": ";
-  const std::size_t pos = line.find(marker);
-  if (pos == std::string::npos) return fallback;
-  return std::atoll(line.c_str() + pos + marker.size());
-}
+using test_support::event_field;
 
 TEST(ObsGolden, ChromeTraceIsStructurallyValid) {
   run_fixed_workload();

@@ -16,15 +16,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "graph/json_topology.hpp"
 #include "proptest/proptest_gtest.hpp"
+#include "test_support.hpp"
 #include "util/json.hpp"
 
 namespace drift {
@@ -124,36 +122,14 @@ TEST(PropJson, RandomDocumentsRoundTrip) {
   });
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-/// Every *.json directly under `dir`, sorted by path.
-std::vector<std::string> json_files(const std::string& dir) {
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".json") {
-      paths.push_back(entry.path().string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-  return paths;
-}
-
-std::string join(const std::vector<std::string>& lines) {
-  std::string out;
-  for (const std::string& line : lines) out += line + "\n";
-  return out;
-}
+using test_support::join;
+using test_support::json_files;
 
 TEST(PropJson, ZooFilesAreEmitParseFixedPoints) {
   const std::vector<std::string> zoo = json_files(DRIFT_MODEL_ZOO_DIR);
   ASSERT_EQ(zoo.size(), 5u);
   for (const std::string& path : zoo) {
-    const std::string text = read_file(path);
+    const std::string text = test_support::read_file_or_empty(path);
     const auto parsed = graph::parse_topology(text);
     ASSERT_TRUE(parsed.ok()) << path << ": " << join(parsed.errors);
     EXPECT_EQ(graph::to_topology_json(parsed.graph), text) << path;
@@ -203,7 +179,9 @@ TEST(PropJson, MutatedArtifactsNeverCrashAndRejectionsAreLocated) {
   ASSERT_GT(zoo_count, 0u);
   ASSERT_GT(paths.size(), zoo_count);
   std::vector<std::string> corpus;
-  for (const std::string& p : paths) corpus.push_back(read_file(p));
+  for (const std::string& p : paths) {
+    corpus.push_back(test_support::read_file_or_empty(p));
+  }
 
   proptest::gtest_check([&](Rng& rng, int size) -> proptest::Result {
     const std::size_t pick = static_cast<std::size_t>(

@@ -21,9 +21,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "accel/bitfusion.hpp"
-#include "accel/drq_accel.hpp"
-#include "accel/drift_accel.hpp"
+#include "accel/compare.hpp"
 #include "proptest/proptest_gtest.hpp"
 #include "ref/ref_queue.hpp"
 #include "serve/simulator.hpp"
@@ -46,37 +44,19 @@ nn::WorkloadSpec micro_workload(Rng& rng, int size) {
   return spec;
 }
 
-serve::ExecConfig micro_exec(Rng& rng) {
-  serve::ExecConfig exec;
-  exec.hw.array = core::ArrayDims{8, 8};
+/// Drift half the time, else BitFusion (static INT8) or DRQ.
+accel::Design pick_design(Rng& rng) {
   const double pick = rng.uniform();
-  exec.algo = pick < 0.5 ? nn::MixAlgorithm::kDrift
-              : pick < 0.75 ? nn::MixAlgorithm::kStaticInt8
-                            : nn::MixAlgorithm::kDrq;
-  return exec;
-}
-
-/// Fresh offline accelerator of the serving config — a new model
-/// instance, so the serving executor's internal state cannot leak into
-/// the reference run.
-std::unique_ptr<accel::Accelerator> offline_model(
-    const serve::ExecConfig& exec) {
-  switch (exec.algo) {
-    case nn::MixAlgorithm::kStaticInt8:
-      return std::make_unique<accel::BitFusionModel>(exec.hw);
-    case nn::MixAlgorithm::kDrq:
-      return std::make_unique<accel::DrqAccelModel>(exec.hw);
-    case nn::MixAlgorithm::kDrift:
-      return std::make_unique<accel::DriftAccelModel>(exec.hw,
-                                                      exec.drift_policy);
-  }
-  return nullptr;
+  return pick < 0.5    ? accel::Design::kDrift
+         : pick < 0.75 ? accel::Design::kBitFusion
+                       : accel::Design::kDrq;
 }
 
 TEST(PropServe, BatchOneWaitsMatchLindleyAndServicesMatchOffline) {
   proptest::gtest_check([](Rng& rng, int size) -> proptest::Result {
     serve::ServeConfig config;
-    config.exec = micro_exec(rng);
+    config.exec.hw.array = core::ArrayDims{8, 8};
+    config.design = pick_design(rng);
     config.max_batch = 1;
     const int num_tenants = rng.bernoulli(0.4) ? 2 : 1;
     for (int t = 0; t < num_tenants; ++t) {
@@ -95,8 +75,10 @@ TEST(PropServe, BatchOneWaitsMatchLindleyAndServicesMatchOffline) {
     serve::Simulator sim(config);
     const serve::ServeResult result = sim.run();
 
-    // Offline service of every request, through a fresh model.
-    const auto model = offline_model(config.exec);
+    // Offline service of every request, through a fresh model instance,
+    // so the serving executor's internal state cannot leak into the
+    // reference run.
+    const auto model = accel::make_model(config.design, config.exec);
     std::vector<std::int64_t> arrivals, services;
     for (const serve::RequestRecord& rec : result.requests) {
       const accel::RunResult offline =
@@ -142,7 +124,6 @@ TEST(PropServe, LongRunMeanWaitMatchesMD1) {
     Rng rng(proptest::case_seed(cfg.seed, i));
     serve::ServeConfig config;
     config.exec.hw.array = core::ArrayDims{8, 8};
-    config.exec.algo = nn::MixAlgorithm::kDrift;
     config.max_batch = 1;
     serve::TenantSpec tenant;
     tenant.workload = micro_workload(rng, 6);

@@ -16,9 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +26,7 @@
 #include "obs/metrics.hpp"
 #include "systolic/cycle_sim.hpp"
 #include "tensor/subtensor.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace drift::report {
@@ -40,14 +38,6 @@ std::string fixture(const std::string& name) {
 
 std::string golden_path(const std::string& name) {
   return std::string(DRIFT_REPORT_GOLDEN_DIR) + "/" + name;
-}
-
-std::string read_file_or_empty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
 }
 
 /// Runs the CLI and returns the exit code; `out`/`err` are cleared
@@ -63,18 +53,8 @@ int run(const std::vector<std::string>& args, std::string& out,
 // Goldens.
 
 void check_golden(const std::string& name, const std::string& produced) {
-  const std::string path = golden_path(name);
-  if (std::getenv("DRIFT_REPORT_UPDATE_GOLDEN") != nullptr) {
-    ASSERT_TRUE(obs::write_file(path, produced));
-    GTEST_SKIP() << "golden regenerated at " << path;
-  }
-  const std::string golden = read_file_or_empty(path);
-  ASSERT_FALSE(golden.empty())
-      << "missing golden " << path
-      << " — regenerate with DRIFT_REPORT_UPDATE_GOLDEN=1";
-  EXPECT_EQ(produced, golden)
-      << "drift_report output drifted from the golden; if intentional, "
-         "regenerate with DRIFT_REPORT_UPDATE_GOLDEN=1";
+  test_support::expect_matches_golden(produced, golden_path(name),
+                                      "DRIFT_REPORT_UPDATE_GOLDEN");
 }
 
 TEST(ReportGolden, SummarizeTextMatchesGolden) {

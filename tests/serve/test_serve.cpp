@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +30,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/simulator.hpp"
+#include "test_support.hpp"
 #include "util/thread_pool.hpp"
 
 namespace drift {
@@ -45,8 +45,7 @@ TEST(ServeArrival, KindNamesRoundTrip) {
         serve::ArrivalKind::kDiurnal}) {
     EXPECT_EQ(serve::arrival_kind_from_string(serve::to_string(kind)), kind);
   }
-  EXPECT_EQ(serve::arrival_kind_from_string("nonsense"),
-            serve::ArrivalKind::kPoisson);
+  EXPECT_EQ(serve::arrival_kind_from_string("nonsense"), std::nullopt);
 }
 
 TEST(ServeQuantile, ExactRankConvention) {
@@ -358,40 +357,15 @@ std::string golden_path() {
   return std::string(DRIFT_SERVE_GOLDEN_DIR) + "/serve_metrics.json";
 }
 
-std::string read_file_or_empty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 #ifndef DRIFT_OBS_OFF
 
 TEST(ServeGolden, MetricsJsonMatchesGolden) {
   const RunOutput out = run_serving(two_tenant_config(), 2, /*trace=*/true);
-  if (std::getenv("DRIFT_OBS_UPDATE_GOLDEN") != nullptr) {
-    ASSERT_TRUE(obs::write_file(golden_path(), out.artifact));
-    GTEST_SKIP() << "golden regenerated at " << golden_path();
-  }
-  const std::string golden = read_file_or_empty(golden_path());
-  ASSERT_FALSE(golden.empty())
-      << "missing golden " << golden_path()
-      << " — regenerate with DRIFT_OBS_UPDATE_GOLDEN=1";
-  EXPECT_EQ(out.artifact, golden)
-      << "serving metrics artifact drifted from the golden; if the "
-         "change is intentional, regenerate with DRIFT_OBS_UPDATE_GOLDEN=1";
+  test_support::expect_matches_golden(out.artifact, golden_path(),
+                                      "DRIFT_OBS_UPDATE_GOLDEN");
 }
 
-/// Pulls the integer value of `"key": <n>` out of one serialized trace
-/// event line; `fallback` when the key is absent.
-std::int64_t event_field(const std::string& line, const std::string& key,
-                         std::int64_t fallback) {
-  const std::string marker = "\"" + key + "\": ";
-  const std::size_t pos = line.find(marker);
-  if (pos == std::string::npos) return fallback;
-  return std::atoll(line.c_str() + pos + marker.size());
-}
+using test_support::event_field;
 
 TEST(ServeGolden, ChromeTraceCarriesPerRequestTracks) {
   const serve::ServeConfig config = two_tenant_config();

@@ -180,12 +180,14 @@ TEST(Accel, MixMismatchThrows) {
 }
 
 TEST(Accel, NamesAndPolicies) {
-  EXPECT_EQ(BitFusionModel(AccelConfig{}).name(), "BitFusion");
-  EXPECT_EQ(DrqAccelModel(AccelConfig{}).name(), "DRQ");
-  EXPECT_EQ(EyerissModel(AccelConfig{}).name(), "Eyeriss");
-  EXPECT_EQ(DriftAccelModel(AccelConfig{}).name(), "Drift");
-  EXPECT_EQ(DriftAccelModel(AccelConfig{}, SchedulerPolicy::kFixed).name(),
-            "Drift(fixed)");
+  // make_model is the one design -> model switch.
+  CompareConfig cfg;
+  EXPECT_EQ(make_model(Design::kBitFusion, cfg)->name(), "BitFusion");
+  EXPECT_EQ(make_model(Design::kDrq, cfg)->name(), "DRQ");
+  EXPECT_EQ(make_model(Design::kEyeriss, cfg)->name(), "Eyeriss");
+  EXPECT_EQ(make_model(Design::kDrift, cfg)->name(), "Drift");
+  cfg.drift_policy = SchedulerPolicy::kFixed;
+  EXPECT_EQ(make_model(Design::kDrift, cfg)->name(), "Drift(fixed)");
 }
 
 }  // namespace

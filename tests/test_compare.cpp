@@ -2,6 +2,9 @@
 // workload set (complements the targeted tests in test_accel.cpp).
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
+
 #include "accel/compare.hpp"
 #include "accel/timeline.hpp"
 
@@ -12,6 +15,41 @@ CompareConfig quick_config() {
   CompareConfig cfg;
   cfg.noise_budget = 0.05;
   return cfg;
+}
+
+/// Every field of a run and of a layer, for exact comparison.
+auto fields(const RunResult& r) {
+  return std::tie(r.accelerator, r.model, r.cycles, r.stall_cycles,
+                  r.dram_bytes, r.energy.static_pj, r.energy.dram_pj,
+                  r.energy.buffer_pj, r.energy.core_pj);
+}
+auto fields(const LayerResult& l) {
+  return std::tie(l.layer, l.compute_cycles, l.dram_cycles, l.cycles,
+                  l.stall_cycles, l.dram_bytes, l.utilization,
+                  l.energy.static_pj, l.energy.dram_pj, l.energy.buffer_pj,
+                  l.energy.core_pj);
+}
+
+TEST(Compare, RunDesignEqualsItsMemberOfCompareWorkload) {
+  const CompareConfig cfg = quick_config();
+  for (const nn::WorkloadSpec& spec :
+       {nn::make_resnet18(), nn::make_bert_base()}) {
+    const Comparison cmp = compare_workload(spec, cfg);
+    const std::pair<Design, const RunResult*> members[] = {
+        {Design::kEyeriss, &cmp.eyeriss},
+        {Design::kBitFusion, &cmp.bitfusion},
+        {Design::kDrq, &cmp.drq},
+        {Design::kDrift, &cmp.drift}};
+    for (const auto& [design, want] : members) {
+      SCOPED_TRACE(spec.model + " " + want->accelerator);
+      const RunResult got = run_design(design, spec, cfg);
+      EXPECT_EQ(fields(got), fields(*want));
+      ASSERT_EQ(got.layers.size(), want->layers.size());
+      for (std::size_t i = 0; i < got.layers.size(); ++i) {
+        EXPECT_EQ(fields(got.layers[i]), fields(want->layers[i]));
+      }
+    }
+  }
 }
 
 TEST(Compare, UtilizationStaysInUnitInterval) {

@@ -6,34 +6,18 @@
 //     Drift row of --accel=all;
 //   - every documented flag is recognized (no "unknown flag" warning).
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 
-#include <cstdio>
 #include <sstream>
 #include <string>
 
+#include "test_support.hpp"
+
 namespace {
 
-struct CliResult {
-  int exit_code = -1;
-  std::string output;
-};
+using drift::test_support::CliResult;
 
-/// Runs driftsim with `args`, stderr folded into the captured output.
 CliResult run_cli(const std::string& args) {
-  const std::string cmd =
-      std::string("'") + DRIFT_DRIFTSIM_BIN + "' " + args + " 2>&1";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  EXPECT_NE(pipe, nullptr) << "failed to spawn: " << cmd;
-  CliResult result;
-  if (!pipe) return result;
-  char buf[4096];
-  while (std::size_t n = fread(buf, 1, sizeof buf, pipe)) {
-    result.output.append(buf, n);
-  }
-  const int status = pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
+  return drift::test_support::run_cli(DRIFT_DRIFTSIM_BIN, args);
 }
 
 /// The output line starting with `prefix`, or "" when there is none.
@@ -49,12 +33,7 @@ std::string line_starting_with(const std::string& text,
 
 void expect_usage_error(const std::string& args, const std::string& flag,
                         const std::string& value, const std::string& names) {
-  const CliResult r = run_cli(args);
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("unknown --" + flag + " '" + value + "'"),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find(names), std::string::npos) << r.output;
+  drift::test_support::expect_usage_error(run_cli(args), flag, value, names);
 }
 
 TEST(DriftsimCli, UnknownAccelExitsTwoAndListsChoices) {

@@ -17,6 +17,7 @@
 #include "accel/compare.hpp"
 #include "accel/controller.hpp"
 #include "accel/timeline.hpp"
+#include "usage_error.hpp"
 #include "util/args.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -44,14 +45,6 @@ flags:
   --help           this text
 )";
 
-/// Exits 2 with the valid choices, like drift_graph's usage errors.
-[[noreturn]] void unknown_choice(const char* flag, const std::string& value,
-                                 const char* choices) {
-  std::fprintf(stderr, "driftsim: unknown --%s '%s' (%s)\n", flag,
-               value.c_str(), choices);
-  std::exit(2);
-}
-
 nn::WorkloadSpec pick_model(const std::string& name) {
   if (name == "resnet18") return nn::make_resnet18();
   if (name == "resnet50") return nn::make_resnet50();
@@ -61,9 +54,9 @@ nn::WorkloadSpec pick_model(const std::string& name) {
   if (name == "gpt2_xl") return nn::make_gpt2_xl();
   if (name == "bloom_7b1") return nn::make_bloom_7b1();
   if (name == "opt_6p7b") return nn::make_opt_6p7b();
-  unknown_choice("model", name,
-                 "resnet18|resnet50|vit_b|deit_s|bert|gpt2_xl|bloom_7b1|"
-                 "opt_6p7b");
+  cli::unknown_choice("driftsim", "model", name,
+                      "resnet18|resnet50|vit_b|deit_s|bert|gpt2_xl|"
+                      "bloom_7b1|opt_6p7b");
 }
 
 nn::WorkloadSpec custom_gemm(const std::string& spec_str) {
@@ -85,10 +78,9 @@ nn::WorkloadSpec custom_gemm(const std::string& spec_str) {
 }
 
 accel::SchedulerPolicy pick_policy(const std::string& name) {
-  if (name == "greedy") return accel::SchedulerPolicy::kGreedy;
-  if (name == "exhaustive") return accel::SchedulerPolicy::kExhaustive;
-  if (name == "fixed") return accel::SchedulerPolicy::kFixed;
-  unknown_choice("policy", name, "greedy|exhaustive|fixed");
+  if (const auto policy = accel::policy_from_string(name)) return *policy;
+  cli::unknown_choice("driftsim", "policy", name,
+                      "greedy|exhaustive|fixed");
 }
 
 /// The design `--accel` selects; nullopt selects all four.
@@ -98,7 +90,8 @@ std::optional<accel::Design> pick_design(const std::string& name) {
   if (name == "bitfusion") return accel::Design::kBitFusion;
   if (name == "drq") return accel::Design::kDrq;
   if (name == "drift") return accel::Design::kDrift;
-  unknown_choice("accel", name, "eyeriss|bitfusion|drq|drift|all");
+  cli::unknown_choice("driftsim", "accel", name,
+                      "eyeriss|bitfusion|drq|drift|all");
 }
 
 void print_run(const accel::RunResult& r, bool layers) {

@@ -10,11 +10,14 @@
 #include <utility>
 #include <vector>
 
+#include "accel/compare.hpp"
 #include "graph/graph.hpp"
 #include "graph/json_topology.hpp"
 #include "graph/ops.hpp"
+#include "graph/workload_export.hpp"
 #include "obs/report.hpp"
-#include "pipeline.hpp"
+#include "topology_file.hpp"
+#include "usage_error.hpp"
 #include "util/args.hpp"
 #include "util/assert.hpp"
 
@@ -121,41 +124,27 @@ int cmd_shapes(const std::vector<std::string>& files) {
   return 0;
 }
 
+accel::Design pick_design(const std::string& algo) {
+  if (const auto design = accel::design_from_algo(algo)) return *design;
+  cli::unknown_choice("drift_graph run", "algo", algo, "int8|drq|drift");
+}
+
+accel::SchedulerPolicy pick_policy(const std::string& policy) {
+  if (const auto parsed = accel::policy_from_string(policy)) return *parsed;
+  cli::unknown_choice("drift_graph run", "policy", policy,
+                      "greedy|exhaustive|fixed");
+}
+
 int cmd_run(const Args& args, const std::vector<std::string>& files) {
   if (files.size() != 1) {
     std::fprintf(stderr, "drift_graph run: exactly one file expected\n");
     return 2;
   }
-  GraphPipelineConfig config;
-  const std::string algo = args.get_string("algo", "drift");
-  if (algo == "int8") {
-    config.algo = nn::MixAlgorithm::kStaticInt8;
-  } else if (algo == "drq") {
-    config.algo = nn::MixAlgorithm::kDrq;
-  } else if (algo == "drift") {
-    config.algo = nn::MixAlgorithm::kDrift;
-  } else {
-    std::fprintf(stderr,
-                 "drift_graph run: unknown --algo '%s' (int8|drq|drift)\n",
-                 algo.c_str());
-    return 2;
-  }
-  const std::string policy = args.get_string("policy", "greedy");
-  if (policy == "greedy") {
-    config.policy = accel::SchedulerPolicy::kGreedy;
-  } else if (policy == "exhaustive") {
-    config.policy = accel::SchedulerPolicy::kExhaustive;
-  } else if (policy == "fixed") {
-    config.policy = accel::SchedulerPolicy::kFixed;
-  } else {
-    std::fprintf(stderr,
-                 "drift_graph run: unknown --policy '%s' "
-                 "(greedy|exhaustive|fixed)\n",
-                 policy.c_str());
-    return 2;
-  }
+  const accel::Design design = pick_design(args.get_string("algo", "drift"));
+  accel::CompareConfig config;
+  config.drift_policy = pick_policy(args.get_string("policy", "greedy"));
   config.noise_budget = args.get_double("budget", 0.05);
-  config.dynamic_weights = !args.get_bool("no-dynamic-weights");
+  config.drift_dynamic_weights = !args.get_bool("no-dynamic-weights");
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 17));
   config.hw.array.rows = args.get_int("rows", 24);
   config.hw.array.cols = args.get_int("cols", 33);
@@ -165,11 +154,11 @@ int cmd_run(const Args& args, const std::vector<std::string>& files) {
 
   const auto artifacts = obs::ReportOptions::from_args(args);
   const bool layers = args.get_bool("layers");
-  const auto result = run_graph_pipeline(g, config);
-  const auto& r = result.run;
+  const nn::WorkloadSpec workload = drift::graph::to_workload(g);
+  const accel::RunResult r = accel::run_design(design, workload, config);
   std::printf("%s on %s: %zu GEMMs, %.2f GMACs\n", g.name.c_str(),
-              r.accelerator.c_str(), result.workload.layers.size(),
-              static_cast<double>(result.workload.total_macs()) / 1e9);
+              r.accelerator.c_str(), workload.layers.size(),
+              static_cast<double>(workload.total_macs()) / 1e9);
   std::printf("cycles=%lld stalls=%lld dram=%.1f MB energy=%.3f mJ\n",
               static_cast<long long>(r.cycles),
               static_cast<long long>(r.stall_cycles),

@@ -15,7 +15,9 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/simulator.hpp"
+#include "usage_error.hpp"
 #include "util/args.hpp"
+#include "util/assert.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -44,13 +46,24 @@ flags:
   --help            this text
 )";
 
-nn::MixAlgorithm pick_algo(const std::string& name) {
-  if (name == "int8") return nn::MixAlgorithm::kStaticInt8;
-  if (name == "drq") return nn::MixAlgorithm::kDrq;
-  if (name != "drift") {
-    std::fprintf(stderr, "unknown --algo '%s', using drift\n", name.c_str());
+accel::Design pick_design(const std::string& name) {
+  if (const auto design = accel::design_from_algo(name)) return *design;
+  cli::unknown_choice("drift_serve", "algo", name, "drift|int8|drq");
+}
+
+serve::ArrivalKind pick_arrival(const std::string& name) {
+  if (const auto kind = serve::arrival_kind_from_string(name)) return *kind;
+  cli::unknown_choice("drift_serve", "arrival", name,
+                      "poisson|bursty|diurnal");
+}
+
+nn::WorkloadSpec pick_workload(const std::string& name) {
+  try {
+    return serve::serving_workload(name);
+  } catch (const check_error&) {
+    cli::unknown_choice("drift_serve", "workloads", name,
+                        serve::serving_workload_names());
   }
-  return nn::MixAlgorithm::kDrift;
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -83,7 +96,7 @@ int main(int argc, char** argv) {
   }
 
   serve::ServeConfig config;
-  config.exec.algo = pick_algo(args.get_string("algo", "drift"));
+  config.design = pick_design(args.get_string("algo", "drift"));
   config.exec.hw.array.rows = args.get_int("rows", 24);
   config.exec.hw.array.cols = args.get_int("cols", 33);
   config.max_batch = args.get_int("max-batch", 8);
@@ -94,8 +107,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "no workloads given\n");
     return 2;
   }
-  const auto kind =
-      serve::arrival_kind_from_string(args.get_string("arrival", "poisson"));
+  const serve::ArrivalKind kind =
+      pick_arrival(args.get_string("arrival", "poisson"));
   const std::int64_t requests = args.get_int("requests", 256);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -103,7 +116,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < names.size(); ++i) {
     serve::TenantSpec tenant;
     tenant.name = names[i] + "#" + std::to_string(i);
-    tenant.workload = serve::serving_workload(names[i]);
+    tenant.workload = pick_workload(names[i]);
     tenant.arrival.kind = kind;
     tenant.num_requests = requests;
     tenant.seed = seed + i;
@@ -158,7 +171,8 @@ int main(int argc, char** argv) {
   const double clock_hz = config.exec.hw.energy.clock_hz;
   std::printf("%s serving, %zu tenant(s), arrival %s, max batch %lld, "
               "array %lldx%lld\n",
-              nn::to_string(config.exec.algo).c_str(),
+              nn::to_string(accel::mix_config(config.design, config.exec).algo)
+                  .c_str(),
               config.tenants.size(), serve::to_string(kind).c_str(),
               static_cast<long long>(config.max_batch),
               static_cast<long long>(config.exec.hw.array.rows),
