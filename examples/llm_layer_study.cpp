@@ -31,12 +31,16 @@ int main(int argc, char** argv) {
   for (const auto& mix : mixes) {
     const auto split = core::schedule_greedy(mix.work, array);
     const auto int8 = core::ws_latency_cycles(mix.layer.dims, 8, 8, array);
+    char rc[48];
+    std::snprintf(rc, sizeof(rc), "(%lld,%lld)",
+                  static_cast<long long>(split.r),
+                  static_cast<long long>(split.c));
     table.add_row(
         {mix.layer.name, std::to_string(mix.layer.dims.M),
          std::to_string(mix.layer.dims.K), std::to_string(mix.layer.dims.N),
          TextTable::pct(mix.act_low_fraction),
          TextTable::pct(mix.weight_low_fraction),
-         "(" + std::to_string(split.r) + "," + std::to_string(split.c) + ")",
+         rc,
          std::to_string(split.makespan),
          TextTable::ratio(static_cast<double>(int8) /
                           static_cast<double>(split.makespan))});

@@ -31,8 +31,9 @@ double Comparison::energy_drift() const {
   return drift.energy.total_pj() / eyeriss.energy.total_pj();
 }
 
-std::optional<Design> design_from_algo(const std::string& name) {
-  if (name == "int8") return Design::kBitFusion;
+std::optional<Design> design_from_name(const std::string& name) {
+  if (name == "eyeriss") return Design::kEyeriss;
+  if (name == "bitfusion") return Design::kBitFusion;
   if (name == "drq") return Design::kDrq;
   if (name == "drift") return Design::kDrift;
   return std::nullopt;

@@ -51,9 +51,12 @@ struct CompareConfig {
 /// The four designs of Figures 7 and 8.
 enum class Design { kEyeriss, kBitFusion, kDrq, kDrift };
 
-/// The design serving `--algo=NAME` in the CLIs: "int8" (BitFusion),
-/// "drq" or "drift"; nullopt for any other name.
-std::optional<Design> design_from_algo(const std::string& name);
+/// The names design_from_name accepts, joined by '|'.
+inline constexpr const char* kDesignNames = "eyeriss|bitfusion|drq|drift";
+
+/// The design named `name` (one of kDesignNames); nullopt for any other
+/// name.  The one design-name parser of the CLIs' `--accel` flag.
+std::optional<Design> design_from_name(const std::string& name);
 
 /// Mix settings of the quantization algorithm `design` executes.
 /// Eyeriss ignores its mix (FP32) and takes the static INT8 one.

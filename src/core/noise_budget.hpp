@@ -2,10 +2,9 @@
 // budget.
 //
 // Section 3.3 selects "the minimum threshold with negligible impact on
-// model accuracy" via a Hessian-aware strategy.  When a differentiable
-// loss is available we do exactly that (core/hessian.hpp); for the
-// full-size hardware workloads — where only sub-tensor statistics
-// exist — this module implements the same rule with the Hessian weight
+// model accuracy" via a Hessian-aware strategy.  core/hessian.hpp
+// implements that search, but only its tests call it: every committed
+// result picks δ here, with the same rule and the Hessian weight
 // replaced by a quantization-noise proxy:
 //
 //   A sub-tensor converted with low-end clip lc adds rounding noise

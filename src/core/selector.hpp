@@ -12,8 +12,8 @@
 //      (Equation 6), where var(Y) uses the Laplace identity
 //      var = 2*E|Y|^2 from Equation 4.
 //
-// δ is a per-layer hyperparameter chosen offline by the Hessian-aware
-// search in core/hessian.hpp.
+// δ is a per-layer hyperparameter; the committed results choose it with
+// the noise-budget selector in core/noise_budget.hpp.
 #pragma once
 
 #include <algorithm>

@@ -558,7 +558,10 @@ std::string op_names() {
 ShapeResult infer_shapes(const Graph& g) {
   ShapeResult result;
   result.errors = validate(g);
-  if (!result.errors.empty()) return result;
+  if (!result.errors.empty()) {
+    result.structural = true;
+    return result;
+  }
 
   for (const GraphInput& in : g.inputs) {
     result.by_name[in.name] = in.dims;
@@ -591,13 +594,11 @@ ShapeResult infer_shapes(const Graph& g) {
 }
 
 ShapeResult checked_shapes(const Graph& g) {
-  const std::vector<std::string> structural = validate(g);
-  if (!structural.empty()) {
-    throw check_error("invalid graph: " + structural.front());
-  }
   ShapeResult shapes = infer_shapes(g);
   if (!shapes.ok()) {
-    throw check_error("shape inference failed: " + shapes.errors.front());
+    throw check_error((shapes.structural ? "invalid graph: "
+                                         : "shape inference failed: ") +
+                      shapes.errors.front());
   }
   return shapes;
 }

@@ -68,6 +68,9 @@ struct ShapeResult {
   std::map<std::string, Dims> by_name;
   /// "node 'x': ..." messages; empty means every node has a shape.
   std::vector<std::string> errors;
+  /// True when `errors` are validate()'s structural errors, so no shape
+  /// rule ran.
+  bool structural = false;
 
   bool ok() const { return errors.empty(); }
 };

@@ -76,7 +76,6 @@ TensorF matmul(const TensorF& a, const TensorF& b) {
 TensorF matmul_nt(const TensorF& a, const TensorF& w) {
   DRIFT_CHECK(a.shape().rank() == 2 && w.shape().rank() == 2,
               "matmul_nt needs rank-2 operands");
-  const std::int64_t M = a.shape().dim(0);
   const std::int64_t K = a.shape().dim(1);
   DRIFT_CHECK(w.shape().dim(1) == K, "inner dimension mismatch");
   const std::int64_t N = w.shape().dim(0);

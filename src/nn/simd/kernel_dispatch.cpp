@@ -55,7 +55,9 @@ void provide_backend_metadata(std::map<std::string, std::string>& meta) {
   if (features.avx2) joined += "avx2";
   if (features.neon) joined += joined.empty() ? "neon" : ",neon";
   meta["cpu_features"] = joined.empty() ? "none" : joined;
-  meta["force_scalar"] = force_scalar() ? "1" : "0";
+  // One-char string, not operator=(const char*): GCC 12 at -O3 reports a
+  // spurious -Wrestrict inside the inlined const char* assignment.
+  meta["force_scalar"] = std::string(1, force_scalar() ? '1' : '0');
 }
 
 [[maybe_unused]] const bool kMetadataRegistered = [] {

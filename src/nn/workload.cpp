@@ -1,5 +1,7 @@
 #include "nn/workload.hpp"
 
+#include <utility>
+
 #include "util/assert.hpp"
 
 namespace drift::nn {
@@ -231,6 +233,32 @@ WorkloadSpec make_opt_6p7b(std::int64_t seq_len) {
 std::vector<WorkloadSpec> paper_workloads() {
   return {make_resnet18(), make_resnet50(), make_vit_b16(), make_deit_s(),
           make_bert_base(), make_gpt2_xl(),  make_opt_6p7b()};
+}
+
+namespace {
+
+/// Every make_* workload: the paper set plus BLOOM-7B1 (Table 1).
+std::vector<WorkloadSpec> all_workloads() {
+  return {make_resnet18(), make_resnet50(), make_vit_b16(),
+          make_deit_s(),   make_bert_base(), make_gpt2_xl(),
+          make_bloom_7b1(), make_opt_6p7b()};
+}
+
+}  // namespace
+
+std::optional<WorkloadSpec> workload_by_name(const std::string& name) {
+  for (WorkloadSpec& spec : all_workloads()) {
+    if (spec.model == name) return std::move(spec);
+  }
+  return std::nullopt;
+}
+
+std::string workload_names() {
+  std::string names;
+  for (const WorkloadSpec& spec : all_workloads()) {
+    names += (names.empty() ? "" : "|") + spec.model;
+  }
+  return names;
 }
 
 }  // namespace drift::nn

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,5 +74,14 @@ WorkloadSpec make_opt_6p7b(std::int64_t seq_len = 1024);
 /// The seven workloads of Figures 7/8, in the paper's order:
 /// ResNet18, ResNet50, ViT-B, DeiT-S, BERT, GPT2-XL, OPT-6.7B.
 std::vector<WorkloadSpec> paper_workloads();
+
+/// The make_* workload whose `model` is `name` (one of
+/// workload_names()), built with its default sequence length; nullopt
+/// for any other name.  The one model-name lookup of the CLIs.
+std::optional<WorkloadSpec> workload_by_name(const std::string& name);
+
+/// The names workload_by_name accepts, joined by '|':
+/// "ResNet18|ResNet50|ViT-B|DeiT-S|BERT|GPT2-XL|BLOOM-7B1|OPT-6.7B".
+std::string workload_names();
 
 }  // namespace drift::nn

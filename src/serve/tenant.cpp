@@ -1,5 +1,7 @@
 #include "serve/tenant.hpp"
 
+#include <utility>
+
 #include "util/assert.hpp"
 
 namespace drift::serve {
@@ -40,17 +42,13 @@ nn::WorkloadSpec tiny_bert() {
 nn::WorkloadSpec serving_workload(const std::string& name) {
   if (name == "tiny-bert") return tiny_bert();
   if (name == "tiny-cnn") return tiny_cnn();
-  for (const auto& spec : nn::paper_workloads()) {
-    if (spec.model == name) return spec;
-  }
+  if (auto spec = nn::workload_by_name(name)) return std::move(*spec);
   throw check_error("unknown serving workload '" + name + "' (" +
                     serving_workload_names() + ")");
 }
 
 std::string serving_workload_names() {
-  std::string names = "tiny-bert|tiny-cnn";
-  for (const auto& spec : nn::paper_workloads()) names += "|" + spec.model;
-  return names;
+  return "tiny-bert|tiny-cnn|" + nn::workload_names();
 }
 
 nn::WorkloadSpec prefix_layers(const nn::WorkloadSpec& spec,

@@ -35,7 +35,7 @@ struct TenantSpec {
 nn::WorkloadSpec serving_workload(const std::string& name);
 
 /// The names serving_workload accepts: "tiny-bert", "tiny-cnn", then
-/// every paper workload's model name (e.g. "ResNet18"), joined by '|'.
+/// nn::workload_names() (e.g. "ResNet18"), joined by '|'.
 std::string serving_workload_names();
 
 /// Copy of `spec` with every layer renamed "<prefix>/<layer>", so two

@@ -1,7 +1,14 @@
 // drift_graph CLI contract tests (label: graph): the binary is spawned
 // as a user would run it, and the exit code and messages are pinned.
-//   - an unknown --algo or --policy is a usage error (exit 2) that
-//     lists the valid names;
+//   - an unknown --accel, --model or --policy is a usage error (exit 2)
+//     that lists the valid names;
+//   - `run` takes exactly one target (FILE, --model or --gemm);
+//   - --accel=drift runs Drift alone and prints the same line as the
+//     Drift row of --accel=all;
+//   - --model=ResNet18 and the resnet18 zoo file print the same design
+//     lines;
+//   - every documented run flag is recognized, and --timeline shows
+//     Drift's timeline whichever design ran;
 //   - `validate` on a pathologically deep file exits 1 with a located
 //     error instead of crashing;
 //   - `emit FILE` prints the file's canonical form, which for the
@@ -10,10 +17,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "test_support.hpp"
-
+#include "util/json.hpp"
 
 namespace {
 
@@ -27,16 +35,130 @@ std::string zoo_path(const std::string& name) {
   return std::string(DRIFT_MODEL_ZOO_DIR) + "/" + name + ".json";
 }
 
+/// The output line starting with `prefix`, or "" when there is none.
+std::string line_starting_with(const std::string& text,
+                               const std::string& prefix) {
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(prefix, 0) == 0) return line;
+  }
+  return "";
+}
+
 TEST(DriftGraphCli, UnknownPolicyExitsTwoAndListsChoices) {
   drift::test_support::expect_usage_error(
       run_cli("run '" + zoo_path("resnet18") + "' --policy=bogus", true),
       "policy", "bogus", "greedy|exhaustive|fixed");
 }
 
-TEST(DriftGraphCli, UnknownAlgoExitsTwoAndListsChoices) {
+TEST(DriftGraphCli, UnknownAccelExitsTwoAndListsChoices) {
   drift::test_support::expect_usage_error(
-      run_cli("run '" + zoo_path("resnet18") + "' --algo=fp16", true),
-      "algo", "fp16", "int8|drq|drift");
+      run_cli("run '" + zoo_path("resnet18") + "' --accel=tpu", true),
+      "accel", "tpu", "eyeriss|bitfusion|drq|drift|all");
+}
+
+TEST(DriftGraphCli, UnknownModelExitsTwoAndListsChoices) {
+  drift::test_support::expect_usage_error(
+      run_cli("run --model=alexnet", true), "model", "alexnet",
+      "ResNet18|ResNet50|ViT-B|DeiT-S|BERT|GPT2-XL|BLOOM-7B1|OPT-6.7B");
+}
+
+TEST(DriftGraphCli, RunNeedsExactlyOneTarget) {
+  const std::string file = zoo_path("resnet18");
+  for (const std::string& args :
+       {std::string("run"), "run '" + file + "' --model=ResNet18",
+        "run '" + file + "' --gemm=8x8x8",
+        std::string("run --model=BERT --gemm=8x8x8")}) {
+    const CliResult r = run_cli(args, true);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("exactly one target"), std::string::npos)
+        << args << "\n" << r.output;
+  }
+}
+
+TEST(DriftGraphCli, SingleDesignMatchesItsRowOfAll) {
+  const CliResult all = run_cli("run --model=ResNet18 --accel=all", false);
+  const CliResult drift = run_cli("run --model=ResNet18 --accel=drift", false);
+  ASSERT_EQ(all.exit_code, 0) << all.output;
+  ASSERT_EQ(drift.exit_code, 0) << drift.output;
+
+  const std::string want = line_starting_with(all.output, "Drift ");
+  ASSERT_FALSE(want.empty()) << all.output;
+  EXPECT_EQ(line_starting_with(drift.output, "Drift "), want)
+      << drift.output;
+  // Only the selected design runs.
+  EXPECT_EQ(line_starting_with(drift.output, "Eyeriss "), "")
+      << drift.output;
+  EXPECT_EQ(drift.output.find("speedup over Eyeriss"), std::string::npos)
+      << drift.output;
+}
+
+TEST(DriftGraphCli, ModelNameAndZooFilePrintTheSameDesignLines) {
+  // The zoo file exports make_resnet18()'s GEMMs one for one
+  // (GraphExport.Resnet18MatchesHandWrittenWorkload), so every design
+  // line matches; only the workload header names the model differently.
+  const CliResult model = run_cli("run --model=ResNet18 --accel=all", false);
+  const CliResult file =
+      run_cli("run '" + zoo_path("resnet18") + "' --accel=all", false);
+  ASSERT_EQ(model.exit_code, 0) << model.output;
+  ASSERT_EQ(file.exit_code, 0) << file.output;
+  for (const char* prefix :
+       {"Eyeriss ", "BitFusion ", "DRQ ", "Drift ", "speedup over"}) {
+    const std::string want = line_starting_with(model.output, prefix);
+    ASSERT_FALSE(want.empty()) << prefix << "\n" << model.output;
+    EXPECT_EQ(line_starting_with(file.output, prefix), want) << file.output;
+  }
+}
+
+TEST(DriftGraphCli, DocumentedFlagsAreRecognized) {
+  const std::string csv = "drift_graph_cli_flags.csv";
+  const std::string metrics = "drift_graph_cli_flags.metrics.json";
+  const std::string trace = "drift_graph_cli_flags.trace.json";
+  const CliResult r = run_cli(
+      "run --model=ResNet18 --accel=eyeriss --policy=fixed --budget=0.05 "
+      "--rows=24 --cols=33 --seed=17 --no-dynamic-weights --layers "
+      "--controller --timeline --csv=" + csv + " --metrics-out=" + metrics +
+          " --trace-out=" + trace,
+      true);
+  std::remove(csv.c_str());
+  std::remove(metrics.c_str());
+  std::remove(trace.c_str());
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.find("unknown flag"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("controller: peak index buffer"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("per-layer CSV written"), std::string::npos)
+      << r.output;
+}
+
+TEST(DriftGraphCli, TimelineIsDriftsWhicheverDesignRan) {
+  const CliResult eyeriss =
+      run_cli("run --model=ResNet18 --accel=eyeriss --timeline", false);
+  const CliResult drift =
+      run_cli("run --model=ResNet18 --accel=drift --timeline", false);
+  ASSERT_EQ(eyeriss.exit_code, 0) << eyeriss.output;
+  ASSERT_EQ(drift.exit_code, 0) << drift.output;
+  const std::string want =
+      line_starting_with(drift.output, "Drift double-buffered timeline");
+  ASSERT_FALSE(want.empty()) << drift.output;
+  EXPECT_EQ(line_starting_with(eyeriss.output,
+                               "Drift double-buffered timeline"),
+            want)
+      << eyeriss.output;
+}
+
+TEST(DriftGraphCli, ModelRunWritesAParsableMetricsArtifact) {
+  const std::string path = "drift_graph_cli_bert.metrics.json";
+  const CliResult r = run_cli("run --model=BERT --metrics-out=" + path, true);
+  const std::string text = drift::test_support::read_file_or_empty(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  std::string error;
+  EXPECT_TRUE(drift::util::parse_json(text, error).has_value()) << error;
+  EXPECT_FALSE(drift::test_support::layer_record_names(text).empty())
+      << text;
 }
 
 TEST(DriftGraphCli, ValidateDeepNestingExitsOneWithALocatedError) {

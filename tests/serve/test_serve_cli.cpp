@@ -1,6 +1,6 @@
 // drift_serve CLI contract tests (label: serve): the binary is spawned
 // as a user would run it, and the exit codes are pinned.
-//   - an unknown --algo, --arrival or --workloads name is a usage error
+//   - an unknown --accel, --arrival or --workloads name is a usage error
 //     (exit 2) that lists the valid names;
 //   - a valid run exits 0 and recognizes every flag it is given.
 #include <gtest/gtest.h>
@@ -23,8 +23,8 @@ void expect_usage_error(const std::string& args, const std::string& flag,
 }
 
 TEST(DriftServeCli, UnknownNamesExitTwoAndListChoices) {
-  expect_usage_error("--algo=bogus --requests=4", "algo", "bogus",
-                     "drift|int8|drq");
+  expect_usage_error("--accel=bogus --requests=4", "accel", "bogus",
+                     "eyeriss|bitfusion|drq|drift");
   expect_usage_error("--arrival=weird --requests=4", "arrival", "weird",
                      "poisson|bursty|diurnal");
   expect_usage_error("--workloads=tiny-cnn,nosuch --requests=4", "workloads",
@@ -33,14 +33,14 @@ TEST(DriftServeCli, UnknownNamesExitTwoAndListChoices) {
 
 TEST(DriftServeCli, EveryUnknownNameTogetherStillExitsTwo) {
   const CliResult r = run_cli(
-      "--workloads=nosuch --algo=bogus --arrival=weird --requests=4");
+      "--workloads=nosuch --accel=bogus --arrival=weird --requests=4");
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_EQ(r.output.find("serving,"), std::string::npos) << r.output;
 }
 
 TEST(DriftServeCli, ValidRunExitsZero) {
   const CliResult r = run_cli(
-      "--workloads=tiny-cnn --algo=drq --arrival=bursty --requests=4 "
+      "--workloads=tiny-cnn --accel=drq --arrival=bursty --requests=4 "
       "--max-batch=2 --threads=1");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_EQ(r.output.find("unknown"), std::string::npos) << r.output;

@@ -30,6 +30,17 @@ auto fields(const LayerResult& l) {
                   l.energy.core_pj);
 }
 
+TEST(Compare, DesignNamesParseToTheirDesigns) {
+  EXPECT_STREQ(kDesignNames, "eyeriss|bitfusion|drq|drift");
+  EXPECT_EQ(design_from_name("eyeriss"), Design::kEyeriss);
+  EXPECT_EQ(design_from_name("bitfusion"), Design::kBitFusion);
+  EXPECT_EQ(design_from_name("drq"), Design::kDrq);
+  EXPECT_EQ(design_from_name("drift"), Design::kDrift);
+  for (const char* bad : {"int8", "all", "Drift", ""}) {
+    EXPECT_FALSE(design_from_name(bad).has_value()) << bad;
+  }
+}
+
 TEST(Compare, RunDesignEqualsItsMemberOfCompareWorkload) {
   const CompareConfig cfg = quick_config();
   for (const nn::WorkloadSpec& spec :

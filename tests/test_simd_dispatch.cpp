@@ -48,8 +48,12 @@ TEST(SimdDispatch, NativeBackendMatchesDetectedFeatures) {
   set_force_scalar(false);
   const CpuFeatures features = detect_cpu_features();
   // The dispatcher may only pick a vector backend the CPU reports.
-  if (active_backend() == Backend::kAvx2) EXPECT_TRUE(features.avx2);
-  if (active_backend() == Backend::kNeon) EXPECT_TRUE(features.neon);
+  if (active_backend() == Backend::kAvx2) {
+    EXPECT_TRUE(features.avx2);
+  }
+  if (active_backend() == Backend::kNeon) {
+    EXPECT_TRUE(features.neon);
+  }
 }
 
 TEST(SimdDispatch, TablesAreFullyPopulated) {

@@ -87,6 +87,22 @@ TEST(Workload, PaperSetHasSevenModels) {
   EXPECT_EQ(workloads[6].model, "OPT-6.7B");
 }
 
+TEST(Workload, LookupIsKeyedOnTheModelName) {
+  EXPECT_EQ(workload_names(),
+            "ResNet18|ResNet50|ViT-B|DeiT-S|BERT|GPT2-XL|BLOOM-7B1|OPT-6.7B");
+  for (const auto& spec : paper_workloads()) {
+    const auto found = workload_by_name(spec.model);
+    ASSERT_TRUE(found.has_value()) << spec.model;
+    EXPECT_EQ(found->model, spec.model);
+    EXPECT_EQ(found->total_macs(), spec.total_macs()) << spec.model;
+  }
+  ASSERT_TRUE(workload_by_name("BLOOM-7B1").has_value());
+  EXPECT_EQ(workload_by_name("BLOOM-7B1")->total_macs(),
+            make_bloom_7b1().total_macs());
+  EXPECT_FALSE(workload_by_name("resnet18").has_value());
+  EXPECT_FALSE(workload_by_name("").has_value());
+}
+
 TEST(Workload, FamilyProfilesDiffer) {
   const auto cnn = make_resnet18();
   const auto llm = make_opt_6p7b();

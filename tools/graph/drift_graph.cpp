@@ -1,16 +1,23 @@
-// drift_graph — operator-graph front end for the Drift stack.
+// drift_graph — operator-graph front end and accelerator simulator of
+// the Drift stack.
 //
 //   drift_graph validate examples/model_zoo/*.json
 //   drift_graph shapes examples/model_zoo/resnet18.json
 //   drift_graph run examples/model_zoo/resnet18.json --metrics-out=run.json
 //   drift_graph run my_model.json --policy=exhaustive --budget=0.02
+//   drift_graph run --model=BERT --accel=all --controller
+//   drift_graph run --gemm=1024x768x3072 --budget=0.02 --layers
 //   drift_graph emit my_model.json > my_model.canonical.json
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "accel/compare.hpp"
+#include "accel/controller.hpp"
+#include "accel/timeline.hpp"
 #include "graph/graph.hpp"
 #include "graph/json_topology.hpp"
 #include "graph/ops.hpp"
@@ -20,13 +27,15 @@
 #include "usage_error.hpp"
 #include "util/args.hpp"
 #include "util/assert.hpp"
+#include "util/csv.hpp"
+#include "util/table.hpp"
 
 using namespace drift;
 using namespace drift::graphcli;
 
 namespace {
 
-constexpr const char* kUsage = R"(drift_graph — operator-graph runner
+constexpr const char* kUsage = R"(drift_graph — operator-graph runner and accelerator simulator
 
 usage: drift_graph <command> [args] [flags]
 
@@ -35,24 +44,35 @@ commands:
                     ("node 'x': ..."), exit 1 if any file fails
   shapes FILE       print the inferred shape of every value, in
                     topological order
-  run FILE          route every GEMM-bearing node through the selector
-                    -> scheduler -> cycle model and print the per-model
-                    summary
+  run TARGET        route every GEMM of the target through the selector
+                    -> scheduler -> cycle model of one design (or all
+                    four) and print each design's summary line
   emit FILE         print the canonical form of a topology file (the
                     committed examples/model_zoo/*.json are fixed points)
 
 The model zoo is examples/model_zoo/*.json: resnet18, vit_b16, deit_s,
 bert_base, gpt2_layer.
 
+run takes exactly one TARGET:
+  FILE              a topology file
+  --model=NAME      a full-size paper model: ResNet18|ResNet50|ViT-B|
+                    DeiT-S|BERT|GPT2-XL|BLOOM-7B1|OPT-6.7B
+  --gemm=MxKxN      a single custom GEMM
+
 run flags:
-  --algo=NAME       int8|drq|drift  (default: drift)
+  --accel=NAME      eyeriss|bitfusion|drq|drift|all  (default: drift); a
+                    single design builds only its own mixes
   --policy=NAME     drift scheduler: greedy|exhaustive|fixed
                     (default: greedy)
-  --budget=F        excess-noise budget (default 0.05)
+  --budget=F        excess-noise budget for the Drift selector
+                    (default 0.05)
   --rows=N --cols=N BitGroup grid geometry (default 24x33)
   --seed=N          mix sampling seed (default 17)
   --no-dynamic-weights  keep weights static INT8 under Drift
   --layers          print per-layer detail
+  --controller      print the controller (index buffer / overlap) report
+  --timeline        print Drift's double-buffered timeline (Gantt)
+  --csv=PATH        also write per-layer results as CSV
   --metrics-out=P   write the canonical metrics JSON artifact
   --trace-out=P     write the Chrome trace artifact
 )";
@@ -124,9 +144,12 @@ int cmd_shapes(const std::vector<std::string>& files) {
   return 0;
 }
 
-accel::Design pick_design(const std::string& algo) {
-  if (const auto design = accel::design_from_algo(algo)) return *design;
-  cli::unknown_choice("drift_graph run", "algo", algo, "int8|drq|drift");
+/// The design `--accel` selects; nullopt selects all four.
+std::optional<accel::Design> pick_design(const std::string& name) {
+  if (name == "all") return std::nullopt;
+  if (const auto design = accel::design_from_name(name)) return *design;
+  cli::unknown_choice("drift_graph run", "accel", name,
+                      std::string(accel::kDesignNames) + "|all");
 }
 
 accel::SchedulerPolicy pick_policy(const std::string& policy) {
@@ -135,12 +158,89 @@ accel::SchedulerPolicy pick_policy(const std::string& policy) {
                       "greedy|exhaustive|fixed");
 }
 
-int cmd_run(const Args& args, const std::vector<std::string>& files) {
-  if (files.size() != 1) {
-    std::fprintf(stderr, "drift_graph run: exactly one file expected\n");
-    return 2;
+nn::WorkloadSpec custom_gemm(const std::string& spec_str) {
+  long long m = 0, k = 0, n = 0;
+  if (std::sscanf(spec_str.c_str(), "%lldx%lldx%lld", &m, &k, &n) != 3 ||
+      m <= 0 || k <= 0 || n <= 0) {
+    std::fprintf(stderr, "drift_graph run: bad --gemm spec '%s' "
+                 "(want MxKxN)\n", spec_str.c_str());
+    std::exit(2);
   }
-  const accel::Design design = pick_design(args.get_string("algo", "drift"));
+  nn::WorkloadSpec spec;
+  spec.model = "custom-" + spec_str;
+  spec.family = nn::ModelFamily::kBert;
+  spec.act_profile = nn::bert_profile();
+  spec.weight_profile = nn::weight_profile();
+  spec.layers.push_back(
+      nn::LayerGemm{"gemm", nn::LayerKind::kFc, core::GemmDims{m, k, n}});
+  return spec;
+}
+
+/// The workload of run's one target: a topology FILE, --model=NAME or
+/// --gemm=MxKxN.  Exits 2 unless exactly one is given; nullopt when the
+/// file fails to load (its errors printed).
+std::optional<nn::WorkloadSpec> run_target(
+    const Args& args, const std::vector<std::string>& files) {
+  const bool model = args.has("model");
+  const bool gemm = args.has("gemm");
+  if (files.size() + (model ? 1 : 0) + (gemm ? 1 : 0) != 1) {
+    std::fprintf(stderr, "drift_graph run: exactly one target expected "
+                 "(FILE, --model=NAME or --gemm=MxKxN)\n");
+    std::exit(2);
+  }
+  if (model) {
+    const std::string name = args.get_string("model", "");
+    if (auto spec = nn::workload_by_name(name)) return std::move(*spec);
+    cli::unknown_choice("drift_graph run", "model", name,
+                        nn::workload_names());
+  }
+  if (gemm) return custom_gemm(args.get_string("gemm", ""));
+  drift::graph::Graph g;
+  if (!load_graph(files[0], g)) return std::nullopt;
+  return drift::graph::to_workload(g);
+}
+
+void print_run(const accel::RunResult& r, bool layers) {
+  std::printf("%-10s cycles=%-12lld stalls=%-10lld dram=%.1f MB "
+              "energy=%.3f mJ (static %.1f%% dram %.1f%% buffer %.1f%% "
+              "core %.1f%%)\n",
+              r.accelerator.c_str(), static_cast<long long>(r.cycles),
+              static_cast<long long>(r.stall_cycles),
+              static_cast<double>(r.dram_bytes) / 1e6,
+              r.energy.total_pj() / 1e9,
+              100.0 * r.energy.static_pj / r.energy.total_pj(),
+              100.0 * r.energy.dram_pj / r.energy.total_pj(),
+              100.0 * r.energy.buffer_pj / r.energy.total_pj(),
+              100.0 * r.energy.core_pj / r.energy.total_pj());
+  if (!layers) return;
+  TextTable t({"layer", "compute", "dram", "cycles", "util"});
+  for (const auto& l : r.layers) {
+    t.add_row({l.layer, std::to_string(l.compute_cycles),
+               std::to_string(l.dram_cycles), std::to_string(l.cycles),
+               TextTable::pct(l.utilization)});
+  }
+  std::printf("%s", t.to_string().c_str());
+}
+
+void print_timeline(const accel::RunResult& drift_run) {
+  std::vector<accel::TimelineLayer> tl;
+  for (const auto& l : drift_run.layers) {
+    tl.push_back({l.layer, l.compute_cycles, l.dram_cycles});
+  }
+  const auto timeline = accel::build_timeline(tl);
+  std::printf("\nDrift double-buffered timeline (unique layers, repeats "
+              "collapsed): %lld cycles, %.1f%% of DRAM hidden under "
+              "compute\n",
+              static_cast<long long>(timeline.total_cycles),
+              100.0 * timeline.overlap_fraction);
+  if (timeline.entries.size() <= 24) {
+    std::printf("%s", timeline.gantt().c_str());
+  }
+}
+
+int cmd_run(const Args& args, const std::vector<std::string>& files) {
+  const std::optional<accel::Design> design =
+      pick_design(args.get_string("accel", "drift"));
   accel::CompareConfig config;
   config.drift_policy = pick_policy(args.get_string("policy", "greedy"));
   config.noise_budget = args.get_double("budget", 0.05);
@@ -148,30 +248,81 @@ int cmd_run(const Args& args, const std::vector<std::string>& files) {
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 17));
   config.hw.array.rows = args.get_int("rows", 24);
   config.hw.array.cols = args.get_int("cols", 33);
+  const bool layers = args.get_bool("layers");
+  const bool controller = args.get_bool("controller");
+  const bool timeline = args.get_bool("timeline");
+  const auto csv_path = args.get("csv");
 
-  drift::graph::Graph g;
-  if (!load_graph(files[0], g)) return 1;
+  const std::optional<nn::WorkloadSpec> target = run_target(args, files);
+  if (!target) return 1;
+  const nn::WorkloadSpec& spec = *target;
 
   const auto artifacts = obs::ReportOptions::from_args(args);
-  const bool layers = args.get_bool("layers");
-  const nn::WorkloadSpec workload = drift::graph::to_workload(g);
-  const accel::RunResult r = accel::run_design(design, workload, config);
-  std::printf("%s on %s: %zu GEMMs, %.2f GMACs\n", g.name.c_str(),
-              r.accelerator.c_str(), workload.layers.size(),
-              static_cast<double>(workload.total_macs()) / 1e9);
-  std::printf("cycles=%lld stalls=%lld dram=%.1f MB energy=%.3f mJ\n",
-              static_cast<long long>(r.cycles),
-              static_cast<long long>(r.stall_cycles),
-              static_cast<double>(r.dram_bytes) / 1e6,
-              r.energy.total_pj() / 1e9);
-  if (layers) {
-    for (const auto& l : r.layers) {
-      std::printf("  %-32s compute=%-10lld dram=%-10lld cycles=%-10lld "
-                  "util=%.1f%%\n",
-                  l.layer.c_str(), static_cast<long long>(l.compute_cycles),
-                  static_cast<long long>(l.dram_cycles),
-                  static_cast<long long>(l.cycles), 100.0 * l.utilization);
+  for (const std::string& flag : args.unqueried()) {
+    std::fprintf(stderr, "warning: unknown flag --%s\n", flag.c_str());
+  }
+
+  std::printf("workload %s: %lld GEMMs, %.2f GMACs, array %lldx%lld "
+              "(%lld units), budget %.3f\n\n",
+              spec.model.c_str(),
+              static_cast<long long>(spec.total_gemms()),
+              static_cast<double>(spec.total_macs()) / 1e9,
+              static_cast<long long>(config.hw.array.rows),
+              static_cast<long long>(config.hw.array.cols),
+              static_cast<long long>(config.hw.array.units()),
+              config.noise_budget);
+
+  // All four designs go through compare_workload; a single design
+  // builds only its own mixes and runs only its own model.
+  accel::Comparison cmp;
+  accel::RunResult single;
+  std::vector<const accel::RunResult*> runs;
+  if (design) {
+    single = accel::run_design(*design, spec, config);
+    runs = {&single};
+  } else {
+    cmp = accel::compare_workload(spec, config);
+    runs = {&cmp.eyeriss, &cmp.bitfusion, &cmp.drq, &cmp.drift};
+  }
+  for (const accel::RunResult* r : runs) print_run(*r, layers);
+  if (!design) {
+    std::printf("\nspeedup over Eyeriss: BitFusion %.2fx, DRQ %.2fx, "
+                "Drift %.2fx\n",
+                cmp.speedup_bitfusion(), cmp.speedup_drq(),
+                cmp.speedup_drift());
+  }
+
+  if (timeline) {
+    // The timeline is Drift's, whichever design --accel printed.
+    print_timeline(!design ? cmp.drift
+                   : *design == accel::Design::kDrift
+                       ? single
+                       : accel::run_design(accel::Design::kDrift, spec,
+                                           config));
+  }
+
+  if (controller) {
+    // The Drift run's own mixes (same seed and selector settings).
+    const auto mixes = nn::build_mixes(
+        spec, accel::mix_config(accel::Design::kDrift, config));
+    const auto report = accel::evaluate_controller(mixes, config.hw.array);
+    std::printf("\ncontroller: peak index buffer %lld bytes (%s), "
+                "control work hidden under compute for %.1f%% of layers\n",
+                static_cast<long long>(report.peak_index_bytes),
+                report.fits_index_buffer ? "fits" : "OVERFLOWS",
+                100.0 * report.overlapped_fraction);
+  }
+
+  if (csv_path) {
+    CsvWriter csv(*csv_path, {"design", "layer", "compute_cycles",
+                              "dram_cycles", "cycles", "utilization"});
+    for (const accel::RunResult* r : runs) {
+      for (const auto& l : r->layers) {
+        csv.row_values(r->accelerator, l.layer, l.compute_cycles,
+                       l.dram_cycles, l.cycles, l.utilization);
+      }
     }
+    std::printf("\nper-layer CSV written to %s\n", csv_path->c_str());
   }
   return artifacts.write() ? 0 : 1;
 }

@@ -6,7 +6,7 @@
 // queueing delay, utilization and energy per request.
 //
 //   drift_serve --workloads=tiny-bert,tiny-cnn --arrival=bursty --load=0.7
-//   drift_serve --workloads=tiny-bert --algo=drq --requests=1000
+//   drift_serve --workloads=tiny-bert --accel=drq --requests=1000
 //   drift_serve --workloads=tiny-bert --json=serve.json --trace=serve.trace
 #include <cstdio>
 #include <string>
@@ -30,7 +30,7 @@ constexpr const char* kUsage = R"(drift_serve — Drift serving simulator
 flags:
   --workloads=A,B   comma list of tenant workloads: tiny-bert|tiny-cnn|
                     any paper model name  (default: tiny-bert,tiny-cnn)
-  --algo=NAME       drift|int8|drq  (default: drift)
+  --accel=NAME      eyeriss|bitfusion|drq|drift  (default: drift)
   --arrival=NAME    poisson|bursty|diurnal  (default: poisson)
   --load=F          target utilization; interarrival gaps are calibrated
                     from each tenant's canonical service time (default 0.6)
@@ -47,8 +47,8 @@ flags:
 )";
 
 accel::Design pick_design(const std::string& name) {
-  if (const auto design = accel::design_from_algo(name)) return *design;
-  cli::unknown_choice("drift_serve", "algo", name, "drift|int8|drq");
+  if (const auto design = accel::design_from_name(name)) return *design;
+  cli::unknown_choice("drift_serve", "accel", name, accel::kDesignNames);
 }
 
 serve::ArrivalKind pick_arrival(const std::string& name) {
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   }
 
   serve::ServeConfig config;
-  config.design = pick_design(args.get_string("algo", "drift"));
+  config.design = pick_design(args.get_string("accel", "drift"));
   config.exec.hw.array.rows = args.get_int("rows", 24);
   config.exec.hw.array.cols = args.get_int("cols", 33);
   config.max_batch = args.get_int("max-batch", 8);
