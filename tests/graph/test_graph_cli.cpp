@@ -64,6 +64,19 @@ TEST(DriftGraphCli, UnknownModelExitsTwoAndListsChoices) {
       "ResNet18|ResNet50|ViT-B|DeiT-S|BERT|GPT2-XL|BLOOM-7B1|OPT-6.7B");
 }
 
+// The same usage errors when the target is a --model name, not a file.
+TEST(DriftGraphCli, UnknownAccelForAModelExitsTwoAndListsChoices) {
+  drift::test_support::expect_usage_error(
+      run_cli("run --model=ResNet18 --accel=tpu", true), "accel", "tpu",
+      "eyeriss|bitfusion|drq|drift|all");
+}
+
+TEST(DriftGraphCli, UnknownPolicyForAModelExitsTwoAndListsChoices) {
+  drift::test_support::expect_usage_error(
+      run_cli("run --model=ResNet18 --policy=bogus", true), "policy",
+      "bogus", "greedy|exhaustive|fixed");
+}
+
 TEST(DriftGraphCli, RunNeedsExactlyOneTarget) {
   const std::string file = zoo_path("resnet18");
   for (const std::string& args :
