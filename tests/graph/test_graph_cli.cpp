@@ -6,7 +6,8 @@
 //   - --accel=drift runs Drift alone and prints the same line as the
 //     Drift row of --accel=all;
 //   - --model=ResNet18 and the resnet18 zoo file print the same design
-//     lines;
+//     lines, and every design's lines on the eight paper models match
+//     a golden (golden/four_designs.txt);
 //   - every documented run flag is recognized, and --timeline shows
 //     Drift's timeline whichever design ran;
 //   - `validate` on a pathologically deep file exits 1 with a located
@@ -105,6 +106,29 @@ TEST(DriftGraphCli, SingleDesignMatchesItsRowOfAll) {
       << drift.output;
   EXPECT_EQ(drift.output.find("speedup over Eyeriss"), std::string::npos)
       << drift.output;
+}
+
+// The absolute cycles, stalls, DRAM and energy of every design on the
+// eight paper models, and the per-layer tables of ResNet18 and BERT.
+// The fig7/fig8 CSVs store only ratios to Eyeriss, so this is the one
+// pin of each design's own numbers.  Regenerate after an intentional
+// change with DRIFT_OBS_UPDATE_GOLDEN=1.
+TEST(DriftGraphCli, FourDesignRunsMatchGolden) {
+  std::string produced;
+  const auto add = [&](const std::string& args) {
+    const CliResult r = run_cli(args, false);
+    EXPECT_EQ(r.exit_code, 0) << args << "\n" << r.output;
+    produced += "$ drift_graph " + args + "\n" + r.output + "\n";
+  };
+  for (const char* model : {"ResNet18", "ResNet50", "ViT-B", "DeiT-S", "BERT",
+                            "GPT2-XL", "BLOOM-7B1", "OPT-6.7B"}) {
+    add(std::string("run --model=") + model + " --accel=all");
+  }
+  add("run --model=ResNet18 --accel=all --layers");
+  add("run --model=BERT --accel=all --layers");
+  drift::test_support::expect_matches_golden(
+      produced, std::string(DRIFT_GRAPH_GOLDEN_DIR) + "/four_designs.txt",
+      "DRIFT_OBS_UPDATE_GOLDEN");
 }
 
 TEST(DriftGraphCli, ModelNameAndZooFilePrintTheSameDesignLines) {
