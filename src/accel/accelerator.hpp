@@ -9,8 +9,19 @@
 //               array (run-switching stall model with high fallback)
 //   Drift     — four split systolic arrays + balanced online scheduler
 //
-// All four share the DRAM model, buffer traffic accounting and energy
-// constants so differences come only from their dataflow.
+// All four run through one per-layer loop, Accelerator::run, which
+// owns the DRAM model, buffer traffic accounting, energy constants,
+// obs records and run totals; a design supplies only its dataflow (one
+// LayerCost per layer), so differences come only from that.
+//
+// `stall_cycles` has one name and a per-design meaning, per layer
+// instance in LayerResult and summed over instances in RunResult:
+//
+//   Eyeriss   — exposed DRAM: max(dram_cycles - compute_cycles, 0)
+//   BitFusion — always 0 (static INT8, no precision switches)
+//   DRQ       — precision-switch bubbles of the single array
+//   Drift     — load imbalance of the four sub-arrays (makespan minus
+//               the work-proportional bound), reconfiguration included
 #pragma once
 
 #include <memory>
@@ -38,13 +49,33 @@ struct AccelConfig {
   double fp32_unit_static_multiplier = 4.0;
 };
 
-/// Per-layer outcome.
+/// Average operand widths (in bits) a layer's traffic is computed from.
+struct OperandBits {
+  double act_bits = 8.0;     ///< row-weighted activation width
+  double weight_bits = 8.0;  ///< channel-weighted weight width
+  int out_bits = 8;          ///< outputs are re-quantized on write-back
+};
+
+/// One instance of a layer under a design's dataflow: everything the
+/// shared run loop cannot derive itself.
+struct LayerCost {
+  std::int64_t compute_cycles = 0;  ///< array occupancy (incl. stalls)
+  std::int64_t stall_cycles = 0;    ///< the design's stall (see above)
+  double utilization = 0.0;         ///< MAC throughput / peak
+  OperandBits bits;                 ///< stored operand widths
+  std::int64_t n_tiles = 1;         ///< weight-column tiles (act re-streams)
+  std::int64_t k_tiles = 1;         ///< reduction tiles (psum spills)
+  double core_pj = 0.0;             ///< MAC energy
+};
+
+/// Per-layer outcome.  Cycle and byte fields are per instance except
+/// `cycles` and the energy, which cover all `repeat` instances.
 struct LayerResult {
   std::string layer;
   std::int64_t compute_cycles = 0;  ///< array occupancy (incl. stalls)
   std::int64_t dram_cycles = 0;     ///< memory occupancy
   std::int64_t cycles = 0;          ///< max of the two, times repeat
-  std::int64_t stall_cycles = 0;
+  std::int64_t stall_cycles = 0;    ///< the design's stall (see above)
   std::int64_t dram_bytes = 0;
   double utilization = 0.0;         ///< MAC throughput / peak
   energy::EnergyBreakdown energy;
@@ -65,7 +96,7 @@ struct RunResult {
   }
 };
 
-/// Abstract accelerator.
+/// An accelerator design: a dataflow plugged into the shared run loop.
 class Accelerator {
  public:
   explicit Accelerator(AccelConfig config) : config_(std::move(config)) {}
@@ -76,13 +107,30 @@ class Accelerator {
   /// Runs a workload.  `mixes` must contain one entry per layer of
   /// `spec`, produced by the algorithm this accelerator executes
   /// (BitFusion: kStaticInt8; DRQ: kDrq; Drift: kDrift; Eyeriss
-  /// ignores the mix and runs FP32).
-  virtual RunResult run(const nn::WorkloadSpec& spec,
-                        const std::vector<nn::LayerMix>& mixes) = 0;
+  /// ignores the mix and runs FP32).  The one per-layer loop of every
+  /// design: each layer runs inside its obs layer scope and an
+  /// `accel.layer` span, and fills that record's compute/stall cycles
+  /// and DRAM bytes.
+  RunResult run(const nn::WorkloadSpec& spec,
+                const std::vector<nn::LayerMix>& mixes);
 
   const AccelConfig& config() const { return config_; }
 
  protected:
+  /// Resets per-run dataflow state before the first layer.
+  virtual void begin_run() {}
+
+  /// The dataflow's cost of one instance of `mix`'s layer.
+  virtual LayerCost layer_cost(const nn::LayerMix& mix) = 0;
+
+  /// Stall cycles of one instance once its DRAM cycles are known; the
+  /// dataflow's own `cost.stall_cycles` unless a design stalls on DRAM.
+  virtual std::int64_t stall_cycles(const LayerCost& cost,
+                                    std::int64_t dram_cycles) const;
+
+  /// Units the design's static power scales with (one BitGroup each).
+  virtual double static_units() const;
+
   AccelConfig config_;
 };
 

@@ -16,8 +16,8 @@ class BitFusionModel : public Accelerator {
 
   std::string name() const override { return "BitFusion"; }
 
-  RunResult run(const nn::WorkloadSpec& spec,
-                const std::vector<nn::LayerMix>& mixes) override;
+ protected:
+  LayerCost layer_cost(const nn::LayerMix& mix) override;
 };
 
 }  // namespace drift::accel

@@ -9,6 +9,7 @@
 #include <optional>
 
 #include "accel/accelerator.hpp"
+#include "accel/fabric.hpp"
 #include "core/scheduler.hpp"
 
 namespace drift::accel {
@@ -34,15 +35,19 @@ class DriftAccelModel : public Accelerator {
 
   std::string name() const override;
 
-  RunResult run(const nn::WorkloadSpec& spec,
-                const std::vector<nn::LayerMix>& mixes) override;
-
   SchedulerPolicy policy() const { return policy_; }
+
+ protected:
+  /// Every run starts from a fresh fabric (a serving executor reuses
+  /// one model across batches).
+  void begin_run() override;
+  LayerCost layer_cost(const nn::LayerMix& mix) override;
 
  private:
   core::SplitDecision schedule(const core::LayerWork& work) const;
 
   SchedulerPolicy policy_;
+  BitGroupFabric fabric_{config_.array};
 };
 
 }  // namespace drift::accel

@@ -21,8 +21,8 @@ class DrqAccelModel : public Accelerator {
 
   std::string name() const override { return "DRQ"; }
 
-  RunResult run(const nn::WorkloadSpec& spec,
-                const std::vector<nn::LayerMix>& mixes) override;
+ protected:
+  LayerCost layer_cost(const nn::LayerMix& mix) override;
 };
 
 }  // namespace drift::accel

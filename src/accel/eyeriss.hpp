@@ -26,8 +26,13 @@ class EyerissModel : public Accelerator {
   /// Active PEs for a layer under the row-stationary mapping.
   static std::int64_t mapped_pes(const nn::LayerGemm& layer);
 
-  RunResult run(const nn::WorkloadSpec& spec,
-                const std::vector<nn::LayerMix>& mixes) override;
+ protected:
+  LayerCost layer_cost(const nn::LayerMix& mix) override;
+  /// Exposed DRAM: the cycles memory occupancy outlasts compute.
+  std::int64_t stall_cycles(const LayerCost& cost,
+                            std::int64_t dram_cycles) const override;
+  /// FP32 PEs: kPeCount x fp32_unit_static_multiplier BitGroups.
+  double static_units() const override;
 };
 
 }  // namespace drift::accel

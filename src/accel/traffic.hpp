@@ -1,10 +1,11 @@
-// Shared traffic and energy accounting for the INT-class accelerators.
+// Shared traffic and energy accounting for the accelerator models.
 //
-// Given one layer's GEMM, its precision mix, and the tiling the
+// Given one layer's GEMM, its operand widths, and the tiling the
 // dataflow implies, computes DRAM bytes, buffer traffic and the
-// resulting energy components.  All INT accelerators (BitFusion, DRQ,
-// Drift) use the same accounting so their energy differences come from
-// data width, tile counts and occupancy — not from bespoke bookkeeping.
+// resulting energy components.  Accelerator::run applies it to every
+// design (Eyeriss, BitFusion, DRQ, Drift), so their energy differences
+// come from data width, tile counts and occupancy — not from bespoke
+// bookkeeping.
 #pragma once
 
 #include <cstdint>
@@ -24,13 +25,6 @@ struct LayerTraffic {
   std::int64_t dram_bytes() const {
     return act_dram_bytes + weight_dram_bytes + out_dram_bytes;
   }
-};
-
-/// Average operand widths (in bits) implied by a precision mix.
-struct OperandBits {
-  double act_bits = 8.0;     ///< row-weighted activation width
-  double weight_bits = 8.0;  ///< channel-weighted weight width
-  int out_bits = 8;          ///< outputs are re-quantized on write-back
 };
 
 /// Computes the mix-weighted operand widths.

@@ -33,7 +33,7 @@ class Args {
   const std::vector<std::string>& positional() const { return positional_; }
 
   /// Flags that were provided but never queried — call after all gets
-  /// to warn about typos.
+  /// to reject typos (cli::reject_unknown_flags in tools/).
   std::vector<std::string> unqueried() const;
 
  private:

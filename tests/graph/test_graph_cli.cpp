@@ -8,14 +8,18 @@
 //   - --model=ResNet18 and the resnet18 zoo file print the same design
 //     lines, and every design's lines on the eight paper models match
 //     a golden (golden/four_designs.txt);
-//   - every documented run flag is recognized, and --timeline shows
-//     Drift's timeline whichever design ran;
+//   - every documented run flag is recognized, an unknown one is a
+//     usage error (exit 2), and --timeline shows Drift's timeline
+//     whichever design ran;
+//   - every design fills the per-layer metrics records, so --accel=all
+//     (four designs under the same layer names) refuses --metrics-out;
 //   - `validate` on a pathologically deep file exits 1 with a located
 //     error instead of crashing;
 //   - `emit FILE` prints the file's canonical form, which for the
 //     committed zoo files is the file itself.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -196,6 +200,52 @@ TEST(DriftGraphCli, ModelRunWritesAParsableMetricsArtifact) {
   EXPECT_TRUE(drift::util::parse_json(text, error).has_value()) << error;
   EXPECT_FALSE(drift::test_support::layer_record_names(text).empty())
       << text;
+}
+
+TEST(DriftGraphCli, NonDriftDesignFillsEveryLayerRecord) {
+  const std::string path = "drift_graph_cli_drq.metrics.json";
+  const CliResult r =
+      run_cli("run --model=ResNet18 --accel=drq --metrics-out=" + path, true);
+  const std::string text = drift::test_support::read_file_or_empty(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  std::string error;
+  const auto doc = drift::util::parse_json(text, error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const drift::util::JsonValue* layers = doc->get("layers");
+  ASSERT_NE(layers, nullptr) << text;
+  EXPECT_EQ(layers->as_array().size(), 21u);
+  std::int64_t dram_bytes = 0;
+  for (const drift::util::JsonValue& rec : layers->as_array()) {
+    const std::string name = rec.get("layer")->as_string();
+    EXPECT_GT(rec.get("compute_cycles")->as_int(), 0) << name;
+    EXPECT_GT(rec.get("dram_bytes")->as_int(), 0) << name;
+    dram_bytes += rec.get("dram_bytes")->as_int();
+  }
+  const drift::util::JsonValue* counter =
+      doc->get_path({"counters", "traffic.dram_bytes"});
+  ASSERT_NE(counter, nullptr) << text;
+  EXPECT_EQ(dram_bytes, counter->as_int());
+}
+
+TEST(DriftGraphCli, AllDesignsRefuseOneMetricsArtifact) {
+  const std::string path = "drift_graph_cli_all.metrics.json";
+  const CliResult r =
+      run_cli("run --model=ResNet18 --accel=all --metrics-out=" + path, true);
+  const bool written = !drift::test_support::read_file_or_empty(path).empty();
+  std::remove(path.c_str());
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("one --accel per artifact"), std::string::npos)
+      << r.output;
+  EXPECT_FALSE(written);
+}
+
+TEST(DriftGraphCli, UnknownFlagExitsTwo) {
+  const CliResult r = run_cli("run --model=ResNet18 --bogus", true);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("unknown flag --bogus"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("cycles="), std::string::npos) << r.output;
 }
 
 TEST(DriftGraphCli, ValidateDeepNestingExitsOneWithALocatedError) {

@@ -2,6 +2,7 @@
 // as a user would run it, and the exit codes are pinned.
 //   - an unknown --accel, --arrival or --workloads name is a usage error
 //     (exit 2) that lists the valid names;
+//   - an unknown flag is a usage error (exit 2);
 //   - a valid run exits 0 and recognizes every flag it is given.
 #include <gtest/gtest.h>
 
@@ -35,6 +36,15 @@ TEST(DriftServeCli, EveryUnknownNameTogetherStillExitsTwo) {
   const CliResult r = run_cli(
       "--workloads=nosuch --accel=bogus --arrival=weird --requests=4");
   EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_EQ(r.output.find("serving,"), std::string::npos) << r.output;
+}
+
+TEST(DriftServeCli, UnknownFlagExitsTwo) {
+  // --algo was the design flag before --accel replaced it.
+  const CliResult r = run_cli("--algo=int8 --requests=4");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("unknown flag --algo"), std::string::npos)
+      << r.output;
   EXPECT_EQ(r.output.find("serving,"), std::string::npos) << r.output;
 }
 

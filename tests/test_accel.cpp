@@ -89,17 +89,36 @@ TEST(Eyeriss, MappedPesRespectsKernel) {
   EXPECT_EQ(EyerissModel::mapped_pes(fc), 14 * 1);
 }
 
+// Every design's run totals are the sums of its layers: cycles and
+// energy already cover a layer's repeats, stalls and DRAM bytes are per
+// instance and scale by them.
 TEST(Accel, RunResultsAreInternallyConsistent) {
-  const auto spec = nn::make_deit_s();
-  const auto cmp = compare_workload(spec, default_config());
-  for (const RunResult* r :
-       {&cmp.eyeriss, &cmp.bitfusion, &cmp.drq, &cmp.drift}) {
-    EXPECT_EQ(r->layers.size(), spec.layers.size());
-    EXPECT_GT(r->cycles, 0);
-    EXPECT_GT(r->energy.total_pj(), 0.0);
-    std::int64_t layer_sum = 0;
-    for (const auto& l : r->layers) layer_sum += l.cycles;
-    EXPECT_EQ(layer_sum, r->cycles);
+  for (const auto& spec : {nn::make_deit_s(), nn::make_bert_base(128)}) {
+    const auto cmp = compare_workload(spec, default_config());
+    for (const RunResult* r :
+         {&cmp.eyeriss, &cmp.bitfusion, &cmp.drq, &cmp.drift}) {
+      SCOPED_TRACE(r->accelerator + " " + spec.model);
+      ASSERT_EQ(r->layers.size(), spec.layers.size());
+      EXPECT_GT(r->cycles, 0);
+      EXPECT_GT(r->energy.total_pj(), 0.0);
+      std::int64_t cycles = 0, stalls = 0, dram_bytes = 0;
+      energy::EnergyBreakdown layers;
+      for (std::size_t i = 0; i < r->layers.size(); ++i) {
+        const LayerResult& l = r->layers[i];
+        const std::int64_t repeat = spec.layers[i].repeat;
+        cycles += l.cycles;
+        stalls += l.stall_cycles * repeat;
+        dram_bytes += l.dram_bytes * repeat;
+        layers += l.energy;
+      }
+      EXPECT_EQ(cycles, r->cycles);
+      EXPECT_EQ(stalls, r->stall_cycles);
+      EXPECT_EQ(dram_bytes, r->dram_bytes);
+      EXPECT_EQ(layers.core_pj, r->energy.core_pj);
+      EXPECT_EQ(layers.buffer_pj, r->energy.buffer_pj);
+      EXPECT_EQ(layers.dram_pj, r->energy.dram_pj);
+      EXPECT_GT(r->energy.static_pj, 0.0);
+    }
   }
 }
 

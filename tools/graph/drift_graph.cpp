@@ -73,7 +73,8 @@ run flags:
   --controller      print the controller (index buffer / overlap) report
   --timeline        print Drift's double-buffered timeline (Gantt)
   --csv=PATH        also write per-layer results as CSV
-  --metrics-out=P   write the canonical metrics JSON artifact
+  --metrics-out=P   write the canonical metrics JSON artifact (one
+                    design per artifact: not with --accel=all)
   --trace-out=P     write the Chrome trace artifact
 )";
 
@@ -257,10 +258,17 @@ int cmd_run(const Args& args, const std::vector<std::string>& files) {
   if (!target) return 1;
   const nn::WorkloadSpec& spec = *target;
 
-  const auto artifacts = obs::ReportOptions::from_args(args);
-  for (const std::string& flag : args.unqueried()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", flag.c_str());
+  // Usage errors exit before from_args arms its exit-time flush, which
+  // would write the artifacts of a refused run.
+  if (!design && args.has("metrics-out")) {
+    std::fprintf(stderr, "drift_graph run: --accel=all would sum the four "
+                 "designs' per-layer records into one --metrics-out "
+                 "artifact; run one --accel per artifact\n");
+    std::exit(2);
   }
+  cli::reject_unknown_flags("drift_graph run", args,
+                            {"metrics-out", "trace-out"});
+  const auto artifacts = obs::ReportOptions::from_args(args);
 
   std::printf("workload %s: %lld GEMMs, %.2f GMACs, array %lldx%lld "
               "(%lld units), budget %.3f\n\n",

@@ -133,6 +133,9 @@ int main(int argc, char** argv) {
   const double load = args.get_double("load", 0.6);
   const bool explicit_gap = args.has("interarrival");
   const double gap = args.get_double("interarrival", 0.0);
+  const auto json_path = args.get("json");
+  const auto trace_path = args.get("trace");
+  cli::reject_unknown_flags("drift_serve", args);
   {
     serve::ServeConfig probe_cfg = config;
     for (auto& tenant : probe_cfg.tenants) {
@@ -152,12 +155,6 @@ int main(int argc, char** argv) {
             256.0 * config.tenants[i].arrival.mean_interarrival_cycles;
       }
     }
-  }
-
-  const auto json_path = args.get("json");
-  const auto trace_path = args.get("trace");
-  for (const std::string& flag : args.unqueried()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", flag.c_str());
   }
 
   obs::Registry::global().reset();

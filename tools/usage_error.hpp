@@ -1,10 +1,14 @@
-// The command-line tools' usage error for a flag value outside its
-// choices.
+// The command-line tools' usage errors: a flag value outside its
+// choices, and a flag the tool does not know.  Both exit 2.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
+
+#include "util/args.hpp"
 
 namespace drift::cli {
 
@@ -17,6 +21,27 @@ namespace drift::cli {
   std::fprintf(stderr, "%s: unknown --%s '%s' (%s)\n", program.c_str(),
                flag.c_str(), value.c_str(), choices.c_str());
   std::exit(2);
+}
+
+/// Prints "PROGRAM: unknown flag --NAME" to stderr for every flag of
+/// `args` that was never queried and is not in `read_later` (flags a
+/// later reader takes), and exits 2 if there was any.  Call after the
+/// last lookup, so a mistyped or renamed flag is an error instead of a
+/// silent default.
+inline void reject_unknown_flags(
+    const std::string& program, const Args& args,
+    std::initializer_list<std::string> read_later = {}) {
+  bool unknown = false;
+  for (const std::string& flag : args.unqueried()) {
+    if (std::find(read_later.begin(), read_later.end(), flag) !=
+        read_later.end()) {
+      continue;
+    }
+    std::fprintf(stderr, "%s: unknown flag --%s\n", program.c_str(),
+                 flag.c_str());
+    unknown = true;
+  }
+  if (unknown) std::exit(2);
 }
 
 }  // namespace drift::cli
